@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.goodness import encode_leaf, merge_id
+from repro.core.localgraph import build, merge_pair
 from repro.core.subgraph_hac import Merge
 
 
@@ -31,18 +32,7 @@ def exact_hac_graph(
     endpoints are live (it depends only on the pair), so a lazy max-heap
     whose entries are invalidated by endpoint death is exact.
     """
-    size: dict[int, int] = {}
-    adj: dict[int, dict[int, float]] = {}
-    for u, v, w in edges:
-        if u == v:
-            continue
-        eu, ev = encode_leaf(u, n_base), encode_leaf(v, n_base)
-        size.setdefault(eu, 1)
-        size.setdefault(ev, 1)
-        adj.setdefault(eu, {})
-        adj.setdefault(ev, {})
-        adj[eu][ev] = adj[eu].get(ev, 0.0) + w
-        adj[ev][eu] = adj[ev].get(eu, 0.0) + w
+    adj, size = build(edges, n_base)
 
     heap: list[tuple[float, int, int]] = []
     for a in adj:
@@ -59,23 +49,9 @@ def exact_hac_graph(
         if w < t:
             break
         pid = merge_id(a, b, n_base)
-        nbrs: dict[int, float] = {}
-        for x, r in adj.pop(a).items():
-            if x != b:
-                nbrs[x] = nbrs.get(x, 0.0) + r
-        for x, r in adj.pop(b).items():
-            if x != a:
-                nbrs[x] = nbrs.get(x, 0.0) + r
-        new_size = size[a] + size[b]
-        for x, r in nbrs.items():
-            ax = adj[x]
-            ax.pop(a, None)
-            ax.pop(b, None)
-            ax[pid] = r
+        for x, r in merge_pair(adj, size, a, b, pid).items():
             p, q = (pid, x) if pid < x else (x, pid)
-            heapq.heappush(heap, (-r / (new_size * size[x]), p, q))
-        adj[pid] = nbrs
-        size[pid] = new_size
+            heapq.heappush(heap, (-r / (size[pid] * size[x]), p, q))
         merges.append(Merge(pid, a, b, w))
     return Dendrogram(n_base=n_base, merges=merges)
 

@@ -13,30 +13,10 @@ shared-memory internals are not the object of study here.
 from __future__ import annotations
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.goodness import encode_leaf, merge_id
+from repro.core.goodness import merge_id
+from repro.core.localgraph import DSU, build, merge_pair
 from repro.core.stats import RoundStats
 from repro.core.subgraph_hac import Merge
-
-
-class _DSU:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 def parhac(
@@ -47,18 +27,7 @@ def parhac(
     max_rounds: int = 100_000,
 ) -> tuple[Dendrogram, list[RoundStats]]:
     """Run the simplified ParHAC; returns dendrogram + per-round stats."""
-    size: dict[int, int] = {}
-    adj: dict[int, dict[int, float]] = {}
-    for u, v, w in edges:
-        if u == v:
-            continue
-        eu, ev = encode_leaf(u, n_base), encode_leaf(v, n_base)
-        size.setdefault(eu, 1)
-        size.setdefault(ev, 1)
-        adj.setdefault(eu, {})
-        adj.setdefault(ev, {})
-        adj[eu][ev] = adj[eu].get(ev, 0.0) + w
-        adj[ev][eu] = adj[eu][ev]
+    adj, size = build(edges, n_base)
 
     def wfn(a: int, b: int) -> float:
         return adj[a][b] / (size[a] * size[b])
@@ -81,7 +50,7 @@ def parhac(
 
         # Affinity step over the bucket: mark best bucket edge per vertex,
         # contract components of marked edges.
-        dsu = _DSU()
+        dsu = DSU()
         for a in adj:
             cands = [
                 (wfn(a, b), b) for b in adj[a] if wfn(a, b) >= max(theta, t)
@@ -107,20 +76,7 @@ def parhac(
                 remaining.discard(nxt)
                 w_cur = wfn(cur, nxt) if nxt in adj[cur] else 0.0
                 pid = merge_id(cur, nxt, n_base)
-                nbrs: dict[int, float] = {}
-                for x, r in adj.pop(cur).items():
-                    if x != nxt:
-                        nbrs[x] = nbrs.get(x, 0.0) + r
-                for x, r in adj.pop(nxt).items():
-                    if x != cur:
-                        nbrs[x] = nbrs.get(x, 0.0) + r
-                for x, r in nbrs.items():
-                    ax = adj[x]
-                    ax.pop(cur, None)
-                    ax.pop(nxt, None)
-                    ax[pid] = r
-                adj[pid] = nbrs
-                size[pid] = size[cur] + size[nxt]
+                merge_pair(adj, size, cur, nxt, pid)
                 merges.append(Merge(pid, cur, nxt, max(w_cur, 1e-300)))
                 cur = pid
                 n_merged += 1

@@ -11,7 +11,8 @@ merges but may chain several per vertex within one round.
 from __future__ import annotations
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.goodness import encode_leaf, merge_id
+from repro.core.goodness import merge_id
+from repro.core.localgraph import build, merge_pair
 from repro.core.stats import RoundStats
 from repro.core.subgraph_hac import Merge
 
@@ -23,18 +24,7 @@ def rac(
     max_rounds: int = 100_000,
 ) -> tuple[Dendrogram, list[RoundStats]]:
     """Run RAC; returns the dendrogram and per-round stats (for Fig. 2)."""
-    size: dict[int, int] = {}
-    adj: dict[int, dict[int, float]] = {}
-    for u, v, w in edges:
-        if u == v:
-            continue
-        eu, ev = encode_leaf(u, n_base), encode_leaf(v, n_base)
-        size.setdefault(eu, 1)
-        size.setdefault(ev, 1)
-        adj.setdefault(eu, {})
-        adj.setdefault(ev, {})
-        adj[eu][ev] = adj[eu].get(ev, 0.0) + w
-        adj[ev][eu] = adj[ev].get(eu, 0.0) + w
+    adj, size = build(edges, n_base)
 
     def wfn(a: int, b: int) -> float:
         return adj[a][b] / (size[a] * size[b])
@@ -55,20 +45,7 @@ def rac(
         for a, b in pairs:
             w_ab = wfn(a, b)
             pid = merge_id(a, b, n_base)
-            nbrs: dict[int, float] = {}
-            for x, r in adj.pop(a).items():
-                if x != b:
-                    nbrs[x] = nbrs.get(x, 0.0) + r
-            for x, r in adj.pop(b).items():
-                if x != a:
-                    nbrs[x] = nbrs.get(x, 0.0) + r
-            for x, r in nbrs.items():
-                ax = adj[x]
-                ax.pop(a, None)
-                ax.pop(b, None)
-                ax[pid] = r
-            adj[pid] = nbrs
-            size[pid] = size[a] + size[b]
+            merge_pair(adj, size, a, b, pid)
             merges.append(Merge(pid, a, b, w_ab))
         stats.append(
             RoundStats(

@@ -21,7 +21,9 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.components import connected_components
+from repro.core import localgraph
+from repro.core.goodness import encode_leaf
+from repro.graphs.affinity import affinity_clusters
 from repro.graphs.edges import canonicalize, contract, init_vertices, with_weights
 from repro.graphs.io import materialize
 
@@ -50,27 +52,6 @@ class SCCResult:
 # --------------------------------------------------------------------- #
 # Local engine
 # --------------------------------------------------------------------- #
-class _DSU:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def scc_local(
     edges: list[tuple[int, int, float]],
     n_base: int,
@@ -78,15 +59,12 @@ def scc_local(
     t: float,
 ) -> SCCResult:
     """Run SCC in-process. ``edges`` are ``(u, v, w)`` over 0..n_base-1."""
-    size: dict[int, int] = {v: 1 for v in range(n_base)}
-    adj: dict[int, dict[int, float]] = {v: {} for v in range(n_base)}
-    for u, v, w in edges:
-        if u == v:
-            continue
-        adj[u][v] = adj[u].get(v, 0.0) + w
-        adj[v][u] = adj[u][v]
-
-    assign = np.arange(n_base, dtype=np.int64)  # original vertex -> cluster
+    adj, _ = localgraph.build(edges, n_base)
+    # Every vertex is a cluster of every level, isolated or not.
+    leaves = [encode_leaf(v, n_base) for v in range(n_base)]
+    adj = {e: adj.get(e, {}) for e in leaves}
+    size = dict.fromkeys(leaves, 1)
+    assign = np.array(leaves, dtype=np.int64)  # original vertex -> cluster
 
     def wfn(a: int, b: int) -> float:
         return adj[a][b] / (size[a] * size[b])
@@ -97,7 +75,7 @@ def scc_local(
     result = SCCResult()
     if w_upper <= 0:
         for _ in range(rounds):
-            result.levels.append(assign.copy())
+            result.levels.append(np.arange(n_base, dtype=np.int64))
             result.n_clusters.append(n_base)
         return result
     taus = threshold_schedule(max(w_upper, t), t, rounds)
@@ -105,29 +83,19 @@ def scc_local(
     for tau in taus:
         result.nodes_per_round.append(len(adj))
         result.edges_per_round.append(sum(len(nb) for nb in adj.values()) // 2)
-        dsu = _DSU()
+        dsu = localgraph.DSU()
         for a in adj:
             cands = [(wfn(a, b), b) for b in adj[a] if wfn(a, b) >= tau]
             if cands:
                 dsu.union(a, max(cands)[1])
-                dsu.parent.setdefault(a, dsu.find(a))
         relabel = {a: dsu.find(a) for a in adj}
-        # contract: group-sum of raw weights, sizes add up
-        new_adj: dict[int, dict[int, float]] = {}
         new_size: dict[int, int] = {}
-        for a in adj:
-            na = relabel[a]
-            new_adj.setdefault(na, {})
+        for a, na in relabel.items():
             new_size[na] = new_size.get(na, 0) + size[a]
-        for a in adj:
-            na = relabel[a]
-            for b, raw in adj[a].items():
-                nb = relabel[b]
-                if na != nb:
-                    new_adj[na][nb] = new_adj[na].get(nb, 0.0) + raw
-        adj, size = new_adj, new_size
+        adj, size = localgraph.contract(adj, relabel), new_size
         assign = np.array([relabel[c] for c in assign], dtype=np.int64)
-        result.levels.append(assign.copy())
+        # Cluster label = its min original vertex id, as on Spark.
+        result.levels.append(assign // (n_base + 1))
         result.n_clusters.append(len(adj))
     return result
 
@@ -199,20 +167,8 @@ def _scc_spark_impl(
         if collect_stats:
             result.nodes_per_round.append(v.count())
             result.edges_per_round.append(e.count())
-        sym = ew.select(F.col("u").alias("src"), F.col("v").alias("dst"), "w").unionByName(
-            ew.select(F.col("v").alias("src"), F.col("u").alias("dst"), "w")
-        ).filter(F.col("w") >= tau)
-        marked = (
-            sym.groupBy("src")
-            .agg(F.max(F.struct("w", "dst")).alias("b"))
-            .select("src", F.col("b.dst").alias("dst"))
-        )
-        msym = marked.unionByName(
-            marked.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
-        ).distinct()
-        comp = connected_components(msym, v.select("id"))
-        mapping = comp.select(
-            F.col("id").alias("old_id"), F.col("component").alias("new_id")
+        mapping = affinity_clusters(ew.filter(F.col("w") >= tau), v).select(
+            F.col("id").alias("old_id"), F.col("cluster").alias("new_id")
         )
         e = materialize(contract(e, mapping), "scc-edges")
         v = materialize(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.goodness import decode_rep, decode_size, encode_leaf
+from repro.core.localgraph import build, merge_pair
 from repro.core.subgraph_hac import Merge
 
 INF = float("inf")
@@ -185,16 +186,11 @@ def empirical_approx_ratio(
     ``0..n_base-1`` with positive weights.
     """
     n = dendro.n_base
-    size: dict[int, int] = {}
-    adj: dict[int, dict[int, float]] = {}
-    for v in range(n):
-        e = encode_leaf(v, n)
-        size[e] = 1
-        adj[e] = {}
-    for u, v, w in edges:
-        eu, ev = encode_leaf(u, n), encode_leaf(v, n)
-        adj[eu][ev] = adj[eu].get(ev, 0.0) + w
-        adj[ev][eu] = adj[ev].get(eu, 0.0) + w
+    adj, size = build(edges, n)
+    # Never-touched vertices are still leaves the dendrogram may merge.
+    for e in (encode_leaf(v, n) for v in range(n)):
+        adj.setdefault(e, {})
+        size.setdefault(e, 1)
 
     # Max-weight tracking: a live edge's normalized weight is fixed (ids
     # are never reused and sizes of live clusters never change), so heap
@@ -235,24 +231,9 @@ def empirical_approx_ratio(
         if w_uv <= 0:
             raise ValueError(f"merge {pid} has zero similarity in replay")
         ratio = max(ratio, mx / w_uv)
-        # contract u, v -> pid
-        nbrs: dict[int, float] = {}
-        for x, r in adj.pop(u).items():
-            if x != v:
-                nbrs[x] = nbrs.get(x, 0.0) + r
-        for x, r in adj.pop(v).items():
-            if x != u:
-                nbrs[x] = nbrs.get(x, 0.0) + r
-        new_size = size[u] + size[v]
-        for x, r in nbrs.items():
-            ax = adj[x]
-            ax.pop(u, None)
-            ax.pop(v, None)
-            ax[pid] = r
+        for x, r in merge_pair(adj, size, u, v, pid).items():
             a, b = (pid, x) if pid < x else (x, pid)
-            heapq.heappush(wheap, (-r / (new_size * size[x]), a, b))
-        adj[pid] = nbrs
-        size[pid] = new_size
+            heapq.heappush(wheap, (-r / (size[pid] * size[x]), a, b))
         done += 1
         par = child_parent.get(pid)
         if par is not None:

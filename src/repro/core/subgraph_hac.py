@@ -19,6 +19,7 @@ import heapq
 from dataclasses import dataclass
 
 from repro.core.goodness import goodness, merge_id, merged_m
+from repro.core.localgraph import merge_pair
 
 INF = float("inf")
 
@@ -132,27 +133,10 @@ def subgraph_hac(
             # --- perform the (1+eps)-good merge of u and v ---
             w_uv = weight(u, v)
             new_id = merge_id(u, v, n_base)
-            new_m = merged_m(m[u], m[v], w_uv)
-            new_size = size[u] + size[v]
-            nbrs: dict[int, float] = {}
-            for x, r in adj[u].items():
-                if x != v:
-                    nbrs[x] = nbrs.get(x, 0.0) + r
-            for x, r in adj[v].items():
-                if x != u:
-                    nbrs[x] = nbrs.get(x, 0.0) + r
-            for dead in (u, v):
-                active.discard(dead)
-                del adj[dead]
-            for x in nbrs:
-                if x in adj:  # active neighbour: rewire its adjacency
-                    ax = adj[x]
-                    ax.pop(u, None)
-                    ax.pop(v, None)
-                    ax[new_id] = nbrs[x]
-            adj[new_id] = nbrs
-            size[new_id] = new_size
-            m[new_id] = new_m
+            nbrs = merge_pair(adj, size, u, v, new_id)
+            m[new_id] = merged_m(m[u], m[v], w_uv)
+            active.discard(u)
+            active.discard(v)
             active.add(new_id)
             parent[u] = new_id
             parent[v] = new_id

@@ -85,29 +85,28 @@ def terahac(
     max_rounds: int = 100,
     collect_stats: bool = False,
     shuffle_partitions: int | None = 8,
-    verbose: bool = False,
 ) -> TeraHACResult:
     """Run distributed TeraHAC.
 
     ``edges``: DataFrame ``(u, v, w)`` — undirected weighted graph over
     original vertex ids ``0..n_base-1``, positive weights. Returns the
     same :class:`TeraHACResult` as the local engine; dendrogram node ids
-    use the shared ``(rep, size)`` encoding.
+    use the shared ``(rep, size)`` encoding. An id outside
+    ``0..n_base-1`` or a weight that is not positive and finite fails
+    the first Spark job with an error that names the edge.
 
     ``shuffle_partitions`` temporarily overrides
     ``spark.sql.shuffle.partitions`` for the run — iterative graph
     rounds on a single box are scheduler-latency-bound, so small graphs
     want few partitions (None leaves the session setting untouched).
     """
-    import time
-
     prev_sp = spark.conf.get("spark.sql.shuffle.partitions")
     if shuffle_partitions is not None:
         spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
         return _terahac_impl(
             spark, edges, n_base, eps, t, max_subgraph_edges, max_rounds,
-            collect_stats, verbose, time,
+            collect_stats,
         )
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev_sp)
@@ -122,16 +121,25 @@ def _terahac_impl(
     max_subgraph_edges: int,
     max_rounds: int,
     collect_stats: bool,
-    verbose: bool,
-    time,
 ) -> TeraHACResult:
     enc = n_base + 1
+    uc, vc, wc = F.col("u").cast("long"), F.col("v").cast("long"), F.col("w").cast("double")
+    # Checked inside the first write's job: no extra Spark job.
+    ok = uc.between(0, n_base - 1) & vc.between(0, n_base - 1) & (wc > 0) & (wc < float("inf"))
+    bad = F.raise_error(F.format_string(
+        f"edge (%s, %s, %s): vertex id outside [0, {n_base}) or weight not positive and finite",
+        uc, vc, wc,
+    ))
+
+    def checked(c):
+        return F.when(ok, c).otherwise(bad)
+
     e = materialize(
         canonicalize(
             edges.select(
-                (F.col("u").cast("long") * enc).alias("u"),
-                (F.col("v").cast("long") * enc).alias("v"),
-                F.col("w").cast("double").alias("raw"),
+                (checked(uc) * enc).alias("u"),
+                (checked(vc) * enc).alias("v"),
+                checked(wc).alias("raw"),
             )
         ),
         "edges",
@@ -146,7 +154,6 @@ def _terahac_impl(
 
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        t_round = time.time()
         ew = with_weights(e, v)
         n_heavy = num_heavy_edges(ew, t)
         if n_heavy == 0:
@@ -234,12 +241,6 @@ def _terahac_impl(
         # repro.graphs.io.materialize for why (originStats compounding).
         e = materialize(e, "edges")
         v = materialize(v, "vertices")
-        if verbose:
-            print(
-                f"[terahac] round {rounds}: heavy={n_heavy} "
-                f"merges={len(round_merges)} {time.time() - t_round:.1f}s",
-                flush=True,
-            )
     else:
         raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds")
 

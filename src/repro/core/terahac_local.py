@@ -14,35 +14,12 @@ measure scheduler latency.
 from __future__ import annotations
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.goodness import encode_leaf, goodness
+from repro.core.goodness import goodness
+from repro.core.localgraph import DSU, build, contract
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 
 INF = float("inf")
-
-
-class _DSU:
-    """Union-find with min-id representatives (affinity component labels)."""
-
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-            self.parent.setdefault(ra, ra)
 
 
 def _affinity_partition(
@@ -58,7 +35,7 @@ def _affinity_partition(
     whose shipped load (sum of member degrees) exceeds the cap are split
     deterministically.
     """
-    dsu = _DSU()
+    dsu = DSU()
     for u, nb in adj.items():
         if not nb:
             continue
@@ -95,21 +72,11 @@ def terahac_local(
     ``t`` is the weight threshold (Algorithm 1): the loop stops once no
     edge of weight >= t remains, and each round prunes vertices whose max
     incident weight is < t/(1+eps). ``t=0`` computes the full
-    (1+eps)-approximate dendrogram.
+    (1+eps)-approximate dendrogram. Raises ``ValueError`` on an id
+    outside ``0..n_base-1`` or a weight that is not positive and finite.
     """
-    size: dict[int, int] = {}
-    m: dict[int, float] = {}
-    adj: dict[int, dict[int, float]] = {}
-    for u, v, w in edges:
-        if u == v:
-            continue
-        eu, ev = encode_leaf(u, n_base), encode_leaf(v, n_base)
-        for x in (eu, ev):
-            size.setdefault(x, 1)
-            m.setdefault(x, INF)
-            adj.setdefault(x, {})
-        adj[eu][ev] = adj[eu].get(ev, 0.0) + w
-        adj[ev][eu] = adj[ev].get(eu, 0.0) + w
+    adj, size = build(edges, n_base)
+    m = dict.fromkeys(adj, INF)
 
     merges: list[Merge] = []
     stats: list[RoundStats] = []
@@ -209,27 +176,10 @@ def terahac_local(
         )
 
         # --- contraction ---
-        new_adj: dict[int, dict[int, float]] = {}
-        new_size: dict[int, int] = {}
-        new_m: dict[int, float] = {}
-        relabel = {old: new for old, (new, _, _) in mapping.items()}
         for old, (new, s, mm) in mapping.items():
-            new_size[new] = s
-            new_m[new] = mm
-            new_adj.setdefault(new, {})
-        for a in adj:
-            na = relabel.get(a, a)
-            new_size.setdefault(na, size[a])
-            new_m.setdefault(na, m[a])
-            new_adj.setdefault(na, {})
-            for b, raw in adj[a].items():
-                nb = relabel.get(b, b)
-                if na != nb:
-                    # Each undirected old edge contributes once per
-                    # orientation, so both directed entries end up with the
-                    # same exact raw sum — no double counting.
-                    new_adj[na][nb] = new_adj[na].get(nb, 0.0) + raw
-        adj, size, m = new_adj, new_size, new_m
+            size[new] = s
+            m[new] = mm
+        adj = contract(adj, {old: new for old, (new, _, _) in mapping.items()})
 
         # --- vertex pruning + isolated removal ---
         drop = [

@@ -16,6 +16,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.components import connected_components
+from repro.graphs.edges import degrees
 
 
 def best_edges(edges_w: DataFrame) -> DataFrame:
@@ -54,13 +55,7 @@ def size_constrained_affinity(
     Returns ``(id, cluster)`` with cluster ids that are opaque longs.
     """
     clusters = affinity_clusters(edges_w, vertices)
-    deg = (
-        edges_w.select(F.col("u").alias("id"))
-        .unionByName(edges_w.select(F.col("v").alias("id")))
-        .groupBy("id")
-        .agg(F.count("*").alias("deg"))
-    )
-    loaded = clusters.join(deg, "id", "left").fillna({"deg": 0})
+    loaded = clusters.join(degrees(edges_w), "id", "left").fillna({"deg": 0})
     load = loaded.groupBy("cluster").agg(F.sum("deg").alias("load"))
     parts = load.select(
         "cluster",

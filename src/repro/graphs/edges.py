@@ -29,13 +29,6 @@ def canonicalize(edges: DataFrame) -> DataFrame:
     return e.groupBy("u", "v").agg(F.sum("raw").alias("raw"))
 
 
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both orientations of a canonical edge table: ``(src, dst, raw)``."""
-    fwd = edges.select(F.col("u").alias("src"), F.col("v").alias("dst"), "raw")
-    bwd = edges.select(F.col("v").alias("src"), F.col("u").alias("dst"), "raw")
-    return fwd.unionByName(bwd)
-
-
 def with_weights(edges: DataFrame, vertices: DataFrame) -> DataFrame:
     """Attach endpoint metadata and the normalized average-linkage weight.
 
@@ -141,12 +134,6 @@ def prune_vertices(
     )
     kept_vertices = vertices.join(keep, "id")
     return kept_edges, kept_vertices
-
-
-def from_weighted(spark_edges: DataFrame) -> DataFrame:
-    """Build a canonical edge table from singleton-cluster weighted edges
-    ``(u, v, w)`` — for singletons ``raw == w``."""
-    return canonicalize(spark_edges.select("u", "v", F.col("w").alias("raw")))
 
 
 def init_vertices(spark: SparkSession, edges: DataFrame) -> DataFrame:

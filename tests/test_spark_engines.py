@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from pyspark.errors import SparkRuntimeException
 from pyspark.sql import functions as F
 
 from repro.baselines.dbscan import graph_dbscan_local, graph_dbscan_spark
@@ -77,6 +78,14 @@ def test_terahac_spark_size_constrained(spark, workload):
         spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
     )
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "edges", [[(0, 1, 1.0), (1, 2, 0.0)], [(0, 1, 1.0), (1, 3, 0.5)]]
+)
+def test_terahac_spark_rejects_bad_edges(spark, edges):
+    with pytest.raises(SparkRuntimeException, match=r"edge \(1, [23], 0\.[05]\)"):
+        terahac(spark, edges_to_spark(spark, edges), 3)
 
 
 def test_scc_spark_equals_local(spark, workload):

@@ -1,5 +1,4 @@
-"""Synthetic graph generators (rMAT, web-query-lite, random graphs) and
-the provided TPC-H-lite generators."""
+"""Synthetic graph generators (rMAT, web-query-lite, random graphs)."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,8 +6,6 @@ import pytest
 
 from repro.synth_data import (
     degree_weights_local,
-    lineitem,
-    orders,
     random_weighted_graph,
     rmat_edges,
     web_query_lite,
@@ -95,11 +92,3 @@ def test_web_query_lite_clusters_dense():
         total_pairs += len(members) * (len(members) - 1) // 2
     assert total_pairs > 0
     assert 0.7 <= len(have) / total_pairs <= 0.9
-
-
-def test_tpch_lite_generators_deterministic(spark):
-    a = lineitem(spark, sf=0.001, seed=0).toPandas()
-    b = lineitem(spark, sf=0.001, seed=0).toPandas()
-    assert a.equals(b)
-    o = orders(spark, sf=0.001).toPandas()
-    assert o.o_orderkey.is_unique
