@@ -25,7 +25,7 @@ from repro.core import localgraph
 from repro.core.goodness import encode_leaf
 from repro.graphs.affinity import affinity_clusters
 from repro.graphs.edges import canonicalize, contract, init_vertices, with_weights
-from repro.graphs.io import materialize
+from repro.graphs.io import materialize, run_dir
 
 
 def threshold_schedule(w_upper: float, t: float, rounds: int) -> list[float]:
@@ -118,14 +118,16 @@ def scc_spark(
     When ``record_levels`` is False only the final level is collected
     (pure-timing mode); per-round node/edge counts (Fig. 14 analogue)
     cost two extra jobs per round and are gated by ``collect_stats``.
+    The run's parquet barriers are removed when it returns or raises.
     """
     prev_sp = spark.conf.get("spark.sql.shuffle.partitions")
     if shuffle_partitions is not None:
         spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
-        return _scc_spark_impl(
-            spark, edges, n_base, rounds, t, record_levels, collect_stats
-        )
+        with run_dir(spark):
+            return _scc_spark_impl(
+                spark, edges, n_base, rounds, t, record_levels, collect_stats
+            )
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev_sp)
 

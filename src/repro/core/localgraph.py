@@ -101,16 +101,21 @@ def contract(adj: Adj, relabel: dict[int, int]) -> Adj:
     those that become self-loops. Every vertex of ``adj`` and every
     target of ``relabel`` gets a row, in ``relabel``'s order first.
 
-    Each undirected edge is stored once per orientation, so both
-    orientations of a contracted edge sum the same raw weights, though
-    in different orders: they can differ in the last bit.
+    Each undirected edge is summed once, from its ``a < b`` orientation,
+    and the sum is mirrored into both rows: the two orientations of an
+    edge stay bit-identical, as the Spark engine's single canonical row.
     """
     out: Adj = {new: {} for new in relabel.values()}
+    for a in adj:
+        out.setdefault(relabel.get(a, a), {})
     for a, nb in adj.items():
         na = relabel.get(a, a)
-        row = out.setdefault(na, {})
         for b, raw in nb.items():
             nb_ = relabel.get(b, b)
-            if na != nb_:
-                row[nb_] = row.get(nb_, 0.0) + raw
+            if a < b and na != nb_:
+                lo, hi = (na, nb_) if na < nb_ else (nb_, na)
+                out[lo][hi] = out[lo].get(hi, 0.0) + raw
+    for a, row in out.items():
+        for b in [b for b in row if b > a]:
+            out[b][a] = row[b]
     return out

@@ -25,4 +25,4 @@ class TeraHACResult:
     dendrogram: Dendrogram
     rounds: int
     stats: list[RoundStats] = field(default_factory=list)
-    forced_merges: int = 0
+    forced_merges: int = 0  # always 0: no round can stall (graphs/affinity.py)

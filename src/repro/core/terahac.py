@@ -25,7 +25,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.dendrogram import Dendrogram
-from repro.core.goodness import merge_id, merged_m
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 from repro.graphs.affinity import size_constrained_affinity
@@ -38,7 +37,7 @@ from repro.graphs.edges import (
     prune_vertices,
     with_weights,
 )
-from repro.graphs.io import materialize
+from repro.graphs.io import materialize, run_dir
 
 _RESULT_SCHEMA = (
     "tag int, id1 long, id2 long, id3 long, val1 double"
@@ -99,15 +98,17 @@ def terahac(
     ``spark.sql.shuffle.partitions`` for the run — iterative graph
     rounds on a single box are scheduler-latency-bound, so small graphs
     want few partitions (None leaves the session setting untouched).
+    The run's parquet barriers are removed when it returns or raises.
     """
     prev_sp = spark.conf.get("spark.sql.shuffle.partitions")
     if shuffle_partitions is not None:
         spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     try:
-        return _terahac_impl(
-            spark, edges, n_base, eps, t, max_subgraph_edges, max_rounds,
-            collect_stats,
-        )
+        with run_dir(spark):
+            return _terahac_impl(
+                spark, edges, n_base, eps, t, max_subgraph_edges, max_rounds,
+                collect_stats,
+            )
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev_sp)
 
@@ -149,7 +150,6 @@ def _terahac_impl(
     fn = _make_subgraph_fn(eps, n_base)
     merges: list[Merge] = []
     stats: list[RoundStats] = []
-    forced = 0
     prune_at = t / (1.0 + eps)
 
     rounds = 0
@@ -192,26 +192,9 @@ def _terahac_impl(
             F.col("val1").alias("m"),
         )
 
-        fallback = not round_merges
-        if fallback:
-            # Stall fallback: merge the globally heaviest edge, which is
-            # always (1+eps)-good (Lemma 2) but may have been separated by
-            # a size split. Driver-side, O(1) data.
-            top = ew.orderBy(F.desc("w"), F.desc("v")).limit(1).collect()[0]
-            pid = merge_id(top.u, top.v, n_base)
-            nm = merged_m(top.mu, top.mv, top.w)
-            round_merges = [Merge(pid, top.u, top.v, top.w)]
-            mapping = spark.createDataFrame(
-                pd.DataFrame(
-                    {
-                        "old_id": [int(top.u), int(top.v)],
-                        "new_id": [pid, pid],
-                        "size": [int(top.su + top.sv)] * 2,
-                        "m": [nm] * 2,
-                    }
-                )
-            )
-            forced += 1
+        if not round_merges:
+            # A mutual-best pair is good and never split (graphs/affinity.py).
+            raise RuntimeError(f"round {rounds} made no merge: Lemma 2 invariant broken")
 
         merges.extend(round_merges)
         stats.append(
@@ -229,12 +212,6 @@ def _terahac_impl(
         v2 = mapping.select(
             F.col("new_id").alias("id"), "size", "m"
         ).distinct()
-        if fallback:
-            # The fallback mapping covers only the two merged vertices;
-            # every other vertex keeps its row.
-            v2 = v.join(
-                mapping.select(F.col("old_id").alias("id")), "id", "left_anti"
-            ).unionByName(v2)
         ew2 = with_weights(e2, v2)
         e, v = prune_vertices(ew2, v2, prune_at)
         # Round barrier: parquet round-trip, not localCheckpoint — see
@@ -242,11 +219,11 @@ def _terahac_impl(
         e = materialize(e, "edges")
         v = materialize(v, "vertices")
     else:
-        raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds")
+        last = stats[-1] if stats else None
+        raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds; last round: {last}")
 
     return TeraHACResult(
         dendrogram=Dendrogram(n_base=n_base, merges=merges),
         rounds=rounds,
         stats=stats,
-        forced_merges=forced,
     )

@@ -6,10 +6,11 @@ executed in-process. Semantics are identical to the Spark engine
 (:mod:`repro.core.terahac`): both call the same
 :func:`repro.core.subgraph_hac.subgraph_hac` kernel and the same
 partitioning rule (best-edge = max (w, neighbour-id) lexicographically;
-component label = min member id), which the test suite exploits to check
-engine equivalence. Used for the Table 2 quality grid and the round-count
-studies, where a 1.8k-vertex graph through 100 Spark rounds would only
-measure scheduler latency.
+component label = min member id; over-cap clusters split by the
+mutual-best-pair key), which the test suite exploits to check engine
+equivalence, with and without a cap. Used for the Table 2 quality grid
+and the round-count studies, where a 1.8k-vertex graph through 100 Spark
+rounds would only measure scheduler latency.
 """
 from __future__ import annotations
 
@@ -29,19 +30,19 @@ def _affinity_partition(
 ) -> dict[int, int]:
     """Size-constrained affinity clustering on the local graph.
 
-    Returns vertex -> cluster id. Mirrors
+    Returns vertex -> cluster id by the rule of
     :func:`repro.graphs.affinity.size_constrained_affinity`: per-vertex
-    best edge by max (w, neighbour-id), components by min id, clusters
-    whose shipped load (sum of member degrees) exceeds the cap are split
-    deterministically.
+    best edge by max (w, neighbour-id), components by min id, and a
+    cluster whose shipped load (sum of member degrees) exceeds the cap
+    split by a key that keeps every mutual-best pair in one part.
     """
+    best: dict[int, int] = {}
     dsu = DSU()
     for u, nb in adj.items():
-        if not nb:
-            continue
-        su = size[u]
-        best = max(nb.items(), key=lambda kv: (kv[1] / (su * size[kv[0]]), kv[0]))
-        dsu.union(u, best[0])
+        if nb:
+            su = size[u]
+            best[u] = max(nb, key=lambda b: (nb[b] / (su * size[b]), b))
+            dsu.union(u, best[u])
     comp = {u: dsu.find(u) for u in adj}
     load: dict[int, int] = {}
     for u in adj:
@@ -53,8 +54,9 @@ def _affinity_partition(
         if nparts <= 1:
             out[u] = c
         else:
-            # Deterministic split; any partition is correct (Lemma 7).
-            out[u] = -(c * nparts + (hash(u) % nparts)) - 1
+            b = best.get(u)
+            key = min(u, b) if best.get(b) == u else u
+            out[u] = -(c * nparts + key % nparts) - 1
     return out
 
 
@@ -80,7 +82,6 @@ def terahac_local(
 
     merges: list[Merge] = []
     stats: list[RoundStats] = []
-    forced = 0
     prune_at = t / (1.0 + eps)
 
     def wfn(a: int, b: int) -> float:
@@ -128,40 +129,8 @@ def terahac_local(
             mapping.update(res.mapping)
 
         if not round_merges:
-            # Stall fallback: the globally heaviest edge is always
-            # (1+eps)-good (Lemma 2), but size-splitting may have separated
-            # its endpoints. Merge it directly to guarantee progress.
-            best = max(
-                ((a, b) for a in adj for b in adj[a] if a < b),
-                key=lambda ab: (wfn(*ab), ab[1]),
-            )
-            rows = [
-                (
-                    best[0],
-                    best[1],
-                    adj[best[0]][best[1]],
-                    size[best[0]],
-                    size[best[1]],
-                    m[best[0]],
-                    m[best[1]],
-                    True,
-                    True,
-                )
-            ]
-            # Include all incident edges so goodness is computed correctly.
-            for a in best:
-                o = best[1] if a == best[0] else best[0]
-                for b, raw in adj[a].items():
-                    if b != o:
-                        rows.append(
-                            (a, b, raw, size[a], size[b], m[a], m[b], True, False)
-                        )
-            res = subgraph_hac(rows, eps, n_base)
-            if not res.merges:
-                raise RuntimeError("global max edge is not good — invariant broken")
-            round_merges.extend(res.merges)
-            mapping = {v: res.mapping.get(v, (v, size[v], m[v])) for v in adj}
-            forced += 1
+            # A mutual-best pair is good and never split (graphs/affinity.py).
+            raise RuntimeError(f"round {rounds} made no merge: Lemma 2 invariant broken")
 
         merges.extend(round_merges)
         stats.append(
@@ -193,11 +162,11 @@ def terahac_local(
                 del adj[b][a]
             del adj[a]
     else:
-        raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds")
+        last = stats[-1] if stats else None
+        raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds; last round: {last}")
 
     return TeraHACResult(
         dendrogram=Dendrogram(n_base=n_base, merges=merges),
         rounds=rounds,
         stats=stats,
-        forced_merges=forced,
     )

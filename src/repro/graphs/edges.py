@@ -97,9 +97,8 @@ def contract(edges: DataFrame, mapping: DataFrame) -> DataFrame:
     """Contract a canonical edge table under a vertex -> cluster mapping.
 
     ``mapping`` is ``(old_id, new_id)``; vertices absent from the mapping
-    keep their id (left join + coalesce), so partial mappings — e.g. the
-    single forced merge in TeraHAC's stall fallback — are valid. Self
-    loops created by the contraction are dropped; parallel edges are
+    keep their id (left join + coalesce), so a partial mapping is valid.
+    Self loops created by the contraction are dropped; parallel edges are
     summed exactly (``raw`` is a sum of point-pair similarities).
     """
     mu = mapping.select(F.col("old_id").alias("u"), F.col("new_id").alias("nu"))

@@ -12,17 +12,23 @@ statistics are the real file sizes, constant and small. This is also
 what the paper's production setting does — each MapReduce round of
 Flume materializes its output — so the barrier is faithful to the
 system being reproduced, not just a workaround.
+
+An engine call writes its barriers inside :func:`run_dir`, which
+removes them when the call returns or raises.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
+import shutil
 import tempfile
 
 from pyspark.sql import DataFrame, SparkSession
 
 _counter = itertools.count()
 _root: str | None = None
+_open: list[str] = []  # run directories, innermost last
 
 
 def _ckpt_root(spark: SparkSession) -> str:
@@ -35,14 +41,29 @@ def _ckpt_root(spark: SparkSession) -> str:
     return _root
 
 
+@contextlib.contextmanager
+def run_dir(spark: SparkSession):
+    """A fresh directory that every :func:`materialize` in the block (the
+    innermost block, if they nest) writes under; removed on exit, by
+    return or raise, so nothing read from it may outlive the block."""
+    path = os.path.join(_open[-1] if _open else _ckpt_root(spark), f"run-{next(_counter)}")
+    _open.append(path)
+    try:
+        yield
+    finally:
+        _open.pop()
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def materialize(df: DataFrame, tag: str = "step") -> DataFrame:
     """Write ``df`` to parquet and read it back.
 
     Returns a DataFrame whose plan is a plain parquet scan: lineage cut,
     statistics reset to actual file sizes. Use at every round boundary of
-    an iterative algorithm (TeraHAC, SCC, long CC runs).
+    an iterative algorithm (TeraHAC, SCC, long CC runs). Outside a
+    :func:`run_dir` block the file is never removed.
     """
     spark = df.sparkSession
-    path = os.path.join(_ckpt_root(spark), f"{tag}-{next(_counter)}")
+    path = os.path.join(_open[-1] if _open else _ckpt_root(spark), f"{tag}-{next(_counter)}")
     df.write.mode("overwrite").parquet(path)
     return spark.read.parquet(path)

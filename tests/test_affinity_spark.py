@@ -91,7 +91,7 @@ def test_size_constraint_splits_big_clusters(spark, graph):
     loads = {}
     for x, c in cl.items():
         loads[c] = loads.get(c, 0) + deg.get(x, 0)
-    # hash splitting is approximate; allow 3x slack over the cap
+    # key splitting is approximate; allow 3x slack over the cap
     assert max(loads.values()) <= 3 * 20
 
 
@@ -104,8 +104,9 @@ def test_size_constraint_noop_below_cap(spark, graph):
 
 def test_refines_affinity_partition(spark, graph):
     """Size splitting only refines: two vertices in different affinity
-    clusters never land in the same split cluster (up to the documented
-    xxhash collision caveat, absent at this scale)."""
+    clusters never land in the same split cluster (part ids
+    ``-(c·nparts + key mod nparts) - 1`` of two clusters can coincide,
+    which would only coarsen the partition; no two do at this scale)."""
     _, ew, v = graph
     base = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
     split = {r.id: r.cluster for r in size_constrained_affinity(ew, v, 20).collect()}

@@ -128,7 +128,7 @@ def test_contract_oracle(spark, graph):
 
 
 def test_contract_partial_mapping(spark):
-    """Vertices absent from the mapping keep their id (fallback path)."""
+    """Vertices absent from the mapping keep their id (a partial mapping)."""
     e = spark.createDataFrame(
         pd.DataFrame({"u": [0, 1], "v": [1, 2], "raw": [1.0, 2.0]})
     )

@@ -3,6 +3,8 @@ on hand-built graphs, and the input checks every local engine gets from
 :func:`repro.core.localgraph.build`."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.baselines.hac_exact import exact_hac_graph
@@ -13,6 +15,7 @@ from repro.core.dendrogram import Dendrogram, empirical_approx_ratio
 from repro.core.goodness import encode_leaf
 from repro.core.localgraph import DSU, build, contract, merge_pair
 from repro.core.terahac_local import terahac_local
+from repro.synth_data import degree_weights_local, rmat_edges
 
 
 def test_dsu_representative_is_min_id():
@@ -56,6 +59,22 @@ def test_contract_drops_self_loops_and_keeps_orientations_equal():
     assert all(out[b][a] == r for a, row in out.items() for b, r in row.items())
     # A cluster left without edges keeps its row.
     assert contract(adj, dict.fromkeys(e, e[0])) == {e[0]: {}}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_contract_orientations_bit_identical_on_rmat(seed):
+    """Both orientations of a contracted edge hold the very same float:
+    the partitioner's best edges and SubgraphHAC's rows read different
+    ones, and a last-bit difference could break a mutual-best pair."""
+    n = 1 << 8
+    adj, _ = build(degree_weights_local(rmat_edges(scale=8, seed=seed)), n)
+    rng = random.Random(seed)
+    for _ in range(3):
+        ids = list(adj)
+        rng.shuffle(ids)
+        groups = [ids[i : i + 3] for i in range(0, len(ids), 3)]
+        adj = contract(adj, {x: min(g) for g in groups for x in g})
+        assert all(adj[b][a] == r for a, row in adj.items() for b, r in row.items())
 
 
 BAD_EDGES = [

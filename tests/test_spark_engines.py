@@ -7,6 +7,8 @@ so this equivalence is what makes the two sets of results one system.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from pyspark.errors import SparkRuntimeException
@@ -19,6 +21,7 @@ from repro.core.dendrogram import empirical_approx_ratio
 from repro.core.terahac import terahac
 from repro.core.terahac_local import terahac_local
 from repro.eval.metrics import ari
+from repro.graphs import io
 from repro.synth_data import edges_to_spark, random_weighted_graph, web_query_lite
 from tests.util import validate_good_merges
 
@@ -71,13 +74,33 @@ def test_terahac_spark_equals_local_flatten(spark, workload):
 
 
 def test_terahac_spark_size_constrained(spark, workload):
-    """Tiny subgraph caps exercise the splitting (and possibly the stall
-    fallback) without breaking the approximation guarantee (Lemma 7)."""
+    """Tiny subgraph caps exercise the splitting without breaking the
+    approximation guarantee (Lemma 7); every round still merges."""
     edges, df = workload
     res = terahac(
         spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
     )
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
+
+
+def test_terahac_spark_equals_local_under_cap(spark, workload):
+    """One split rule in both engines: under a cap that splits clusters,
+    the rounds and the merge sets agree, similarities within 1e-9."""
+    edges, df = workload
+    sp = terahac(
+        spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
+    )
+    lo = terahac_local(edges, N, eps=0.1, t=0.0, max_subgraph_edges=40)
+    assert sp.rounds == lo.rounds
+
+    def key(mg):
+        return (mg.parent, mg.left, mg.right)
+
+    a = sorted(sp.dendrogram.merges, key=key)
+    b = sorted(lo.dendrogram.merges, key=key)
+    assert [key(x) for x in a] == [key(x) for x in b]
+    for x, y in zip(a, b):
+        assert x.similarity == pytest.approx(y.similarity, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +109,23 @@ def test_terahac_spark_size_constrained(spark, workload):
 def test_terahac_spark_rejects_bad_edges(spark, edges):
     with pytest.raises(SparkRuntimeException, match=r"edge \(1, [23], 0\.[05]\)"):
         terahac(spark, edges_to_spark(spark, edges), 3)
+
+
+def test_spark_engines_leave_no_checkpoint_dirs(spark):
+    """Each engine call removes its parquet barriers, on return and on
+    raise."""
+    root = io._ckpt_root(spark)
+
+    def listing():
+        return set(os.listdir(root)) if os.path.isdir(root) else set()
+
+    before = listing()
+    df = edges_to_spark(spark, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
+    terahac(spark, df, 4, eps=0.1, t=0.0, shuffle_partitions=2)
+    scc_spark(spark, df, 4, rounds=2, t=0.1, shuffle_partitions=2)
+    with pytest.raises(SparkRuntimeException):
+        terahac(spark, edges_to_spark(spark, [(0, 1, 1.0), (1, 2, 0.0)]), 3)
+    assert listing() == before
 
 
 def test_scc_spark_equals_local(spark, workload):

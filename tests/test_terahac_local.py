@@ -10,6 +10,7 @@ import pytest
 from repro.baselines.hac_exact import exact_hac_graph
 from repro.baselines.rac import rac
 from repro.core.dendrogram import empirical_approx_ratio
+from repro.core import terahac_local as engine
 from repro.core.terahac_local import terahac_local
 from repro.synth_data import random_weighted_graph
 from tests.util import validate_good_merges
@@ -113,12 +114,52 @@ def test_good_edges_more_with_eps(synthetic_seed=2):
 @pytest.mark.parametrize("cap", [40, 200])
 def test_size_constrained_partitions_still_correct(cap):
     """Lemma 7: any partition is correct — force tiny subgraph caps and
-    check the approximation ratio still holds (the stall fallback may
-    fire; that is fine as long as the output is a valid dendrogram)."""
+    check the approximation ratio still holds."""
     n, eps = 100, 0.1
     edges = random_weighted_graph(n=n, avg_deg=5, seed=7)
     res = terahac_local(edges, n, eps=eps, t=0.0, max_subgraph_edges=cap)
     assert empirical_approx_ratio(res.dendrogram, edges) <= (1 + eps) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cap", [10, 25, 60])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, eps):
+    """The split never separates a mutual-best pair, so every round
+    merges with no forced merge, and eps=0 still gives exact HAC."""
+    n = 60
+    edges = random_weighted_graph(n=n, avg_deg=4, seed=seed)
+    partition = engine._affinity_partition
+    splits = []
+
+    def checked(adj, size, max_subgraph_edges):
+        out = partition(adj, size, max_subgraph_edges)
+        best = {
+            u: max(nb, key=lambda b: (nb[b] / (size[u] * size[b]), b))
+            for u, nb in adj.items()
+            if nb
+        }
+        for u, b in best.items():
+            if best[b] == u:
+                assert out[u] == out[b], f"mutual-best pair ({u}, {b}) split apart"
+        splits.append(any(c < 0 for c in out.values()))
+        return out
+
+    monkeypatch.setattr(engine, "_affinity_partition", checked)
+    res = terahac_local(edges, n, eps=eps, t=0.0, max_subgraph_edges=cap)
+    assert any(splits), "the cap never split a cluster"
+    assert len(res.stats) == res.rounds and all(st.n_merges > 0 for st in res.stats)
+    assert res.forced_merges == 0
+    if eps == 0.0:
+        ex = exact_hac_graph(edges, n)
+        assert res.dendrogram.internal_cluster_sets() == ex.internal_cluster_sets()
+
+
+def test_max_rounds_error_reports_last_round():
+    n = 80
+    edges = random_weighted_graph(n=n, avg_deg=5, seed=3)
+    with pytest.raises(RuntimeError, match=r"within 1 rounds; last round: RoundStats\(round=1, "):
+        terahac_local(edges, n, eps=0.1, t=0.0, max_rounds=1)
 
 
 def test_full_dendrogram_at_t0():
