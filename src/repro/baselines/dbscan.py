@@ -20,6 +20,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graphs.components import connected_components
+from repro.graphs.io import run_dir
 
 
 def dbscan_metric(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -117,35 +118,36 @@ def graph_dbscan_spark(
     min_pts: int,
 ) -> np.ndarray:
     """Graph DBSCAN (§6.3) on DataFrames. ``edges`` is ``(u, v, w)``."""
-    e = edges.filter(F.col("u") != F.col("v")).select(
-        F.least("u", "v").alias("u"), F.greatest("u", "v").alias("v"), "w"
-    ).groupBy("u", "v").agg(F.max("w").alias("w"))
-    heavy = e.filter(F.col("w") >= eps).localCheckpoint(eager=True)
-    sym = heavy.select(F.col("u").alias("src"), F.col("v").alias("dst"), "w").unionByName(
-        heavy.select(F.col("v").alias("src"), F.col("u").alias("dst"), "w")
-    )
-    core = (
-        sym.groupBy(F.col("src").alias("id"))
-        .agg(F.count("*").alias("deg"))
-        .filter(F.col("deg") >= min_pts)
-        .select("id")
-        .localCheckpoint(eager=True)
-    )
-    core_edges = (
-        sym.join(core.withColumnRenamed("id", "src"), "src")
-        .join(core.withColumnRenamed("id", "dst"), "dst")
-        .select("src", "dst")
-    )
-    comp = connected_components(core_edges, core)
-    # non-core: best core neighbour at >= eps
-    noncore_best = (
-        sym.join(core.withColumnRenamed("id", "src"), "src", "left_anti")
-        .join(comp.withColumnRenamed("id", "dst"), "dst")
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.max(F.struct("w", "component")).alias("b"))
-        .select("id", F.col("b.component").alias("component"))
-    )
-    assigned = comp.unionByName(noncore_best).collect()
+    with run_dir(spark):
+        e = edges.filter(F.col("u") != F.col("v")).select(
+            F.least("u", "v").alias("u"), F.greatest("u", "v").alias("v"), "w"
+        ).groupBy("u", "v").agg(F.max("w").alias("w"))
+        heavy = e.filter(F.col("w") >= eps).localCheckpoint(eager=True)
+        sym = heavy.select(F.col("u").alias("src"), F.col("v").alias("dst"), "w").unionByName(
+            heavy.select(F.col("v").alias("src"), F.col("u").alias("dst"), "w")
+        )
+        core = (
+            sym.groupBy(F.col("src").alias("id"))
+            .agg(F.count("*").alias("deg"))
+            .filter(F.col("deg") >= min_pts)
+            .select("id")
+            .localCheckpoint(eager=True)
+        )
+        core_edges = (
+            sym.join(core.withColumnRenamed("id", "src"), "src")
+            .join(core.withColumnRenamed("id", "dst"), "dst")
+            .select("src", "dst")
+        )
+        comp = connected_components(core_edges, core)
+        # non-core: best core neighbour at >= eps
+        noncore_best = (
+            sym.join(core.withColumnRenamed("id", "src"), "src", "left_anti")
+            .join(comp.withColumnRenamed("id", "dst"), "dst")
+            .groupBy(F.col("src").alias("id"))
+            .agg(F.max(F.struct("w", "component")).alias("b"))
+            .select("id", F.col("b.component").alias("component"))
+        )
+        assigned = comp.unionByName(noncore_best).collect()
     labels = np.full(n_base, -1, dtype=np.int64)
     lab_of: dict[int, int] = {}
     for r in sorted(assigned, key=lambda r: (r.component, r.id)):

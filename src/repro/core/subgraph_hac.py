@@ -8,10 +8,26 @@ it directly. The implementation is the lazy-heap approach of Appendix B
 with exact (rather than (1+alpha)-approximate) goodness maintenance —
 exactness is affordable because partitions are size-capped, and it
 strengthens the guarantee: *every* merge performed is exactly good at
-merge time, and at termination *no* good active-active merge remains
-(verified by a full rescan loop, re-filling the heap until a scan comes
-up empty; goodness of an edge can decrease when other merges lower its
-endpoints' w_max, so a single heap pass is not sufficient for maximality).
+merge time, and at termination *no* good active-active merge remains.
+
+``w_max`` and one neighbour attaining it are cached per active vertex.
+Merging u, v into p replaces a neighbour x's edges to u and v by one edge
+to p, so x is rescanned only if its cached argmax was u or v; otherwise
+``w_max(x) = max(w_max(x), w(x, p))``. A float ``max`` is exact, so the
+cache always equals a full scan of the row, bit for bit.
+
+An edge can become good when other merges lower its endpoints'
+``w_max``, so one heap pass is not maximal: when the heap runs dry, the
+edges at vertices whose row changed since the last scan (``dirty``) are
+rescanned, until a scan pushes nothing. That pushes exactly the good
+edges a full rescan would:
+
+- an edge whose endpoints' rows did not change has the same goodness
+  inputs as at the last scan, so the same verdict;
+- an edge that was good then was pushed, and was popped before the heap
+  ran dry, merging its endpoints unless their rows changed;
+- the heap orders by ``(g, a, b)``, a total order, so the same pushes give
+  the same pops and the same merges.
 """
 from __future__ import annotations
 
@@ -91,32 +107,47 @@ def subgraph_hac(
     def weight(x: int, y: int) -> float:
         return adj[x][y] / (size[x] * size[y])
 
-    def w_max(x: int) -> float:
+    # Cached w_max and one neighbour attaining it, per active vertex.
+    wmax: dict[int, float] = {}
+    arg: dict[int, int] = {}
+
+    def refresh(x: int) -> None:
         ax = adj[x]
-        if not ax:
-            return 0.0
         sx = size[x]
-        return max(r / (sx * size[y]) for y, r in ax.items())
+        best, at = 0.0, -1
+        for y, r in ax.items():
+            w = r / (sx * size[y])
+            if w > best:
+                best, at = w, y
+        wmax[x], arg[x] = best, at
 
     def edge_goodness(x: int, y: int) -> float:
-        return goodness(w_max(x), w_max(y), m[x], m[y], weight(x, y))
+        return goodness(wmax[x], wmax[y], m[x], m[y], weight(x, y))
+
+    for a in active:
+        refresh(a)
 
     limit = 1.0 + eps
     heap: list[tuple[float, int, int]] = []
+    # Active vertices whose row changed since the last scan.
+    dirty: set[int] = set(active)
 
-    def scan_refill() -> int:
-        """Push every currently-good active-active edge; return how many."""
+    def scan_dirty() -> int:
+        """Push every currently-good active-active edge at a dirty vertex,
+        each edge once; clear ``dirty`` and return how many were pushed."""
         pushed = 0
-        for x in active:
+        for x in dirty:
             for y in adj[x]:
-                if y in active and x < y:
-                    g = edge_goodness(x, y)
+                if y in active and (x < y or y not in dirty):
+                    a, b = (x, y) if x < y else (y, x)
+                    g = edge_goodness(a, b)
                     if g <= limit:
-                        heapq.heappush(heap, (g, x, y))
+                        heapq.heappush(heap, (g, a, b))
                         pushed += 1
+        dirty.clear()
         return pushed
 
-    scan_refill()
+    scan_dirty()
 
     while True:
         progressed = False
@@ -126,7 +157,7 @@ def subgraph_hac(
                 continue
             g = edge_goodness(u, v)
             if g > limit:
-                continue  # stale; the rescan loop will resurrect it if it improves
+                continue  # stale; the dirty scan resurrects it if it improves
             if g > g_old * (1.0 + 1e-12) and heap and heap[0][0] < g:
                 heapq.heappush(heap, (g, u, v))  # no longer the min; retry later
                 continue
@@ -135,22 +166,33 @@ def subgraph_hac(
             new_id = merge_id(u, v, n_base)
             nbrs = merge_pair(adj, size, u, v, new_id)
             m[new_id] = merged_m(m[u], m[v], w_uv)
-            active.discard(u)
-            active.discard(v)
+            for x in (u, v):
+                active.discard(x)
+                dirty.discard(x)
             active.add(new_id)
+            dirty.add(new_id)
+            refresh(new_id)
             parent[u] = new_id
             parent[v] = new_id
             merges.append(Merge(new_id, u, v, w_uv))
             progressed = True
             for x in nbrs:
                 if x in active:
+                    dirty.add(x)
+                    if arg[x] == u or arg[x] == v:
+                        refresh(x)
+                    else:
+                        w = weight(x, new_id)
+                        if w > wmax[x]:
+                            wmax[x], arg[x] = w, new_id
                     a, b = (new_id, x) if new_id < x else (x, new_id)
                     g2 = edge_goodness(a, b)
                     if g2 <= limit:
                         heapq.heappush(heap, (g2, a, b))
         # Maximality: merges elsewhere in this subgraph may have *lowered*
-        # the goodness of edges we previously discarded. Rescan until dry.
-        if not progressed or scan_refill() == 0:
+        # the goodness of edges we previously discarded; only edges at a
+        # vertex whose row changed can have moved. Rescan those until dry.
+        if not progressed or scan_dirty() == 0:
             break
 
     mapping: dict[int, tuple[int, int, float]] = {}

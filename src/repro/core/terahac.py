@@ -49,20 +49,17 @@ def _make_subgraph_fn(eps: float, n_base: int):
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         cluster = int(pdf["cluster"].iloc[0])
-        rows = [
-            (
-                int(r.u),
-                int(r.v),
-                float(r.raw),
-                int(r.su),
-                int(r.sv),
-                float(r.mu),
-                float(r.mv),
-                int(r.cu) == cluster,
-                int(r.cv) == cluster,
-            )
-            for r in pdf.itertuples()
-        ]
+        rows = list(zip(
+            pdf["u"].tolist(),
+            pdf["v"].tolist(),
+            pdf["raw"].tolist(),
+            pdf["su"].tolist(),
+            pdf["sv"].tolist(),
+            pdf["mu"].tolist(),
+            pdf["mv"].tolist(),
+            (pdf["cu"] == cluster).tolist(),
+            (pdf["cv"] == cluster).tolist(),
+        ))
         res = subgraph_hac(rows, eps, n_base)
         out = [
             (0, old, new, s, mm) for old, (new, s, mm) in res.mapping.items()
@@ -93,6 +90,12 @@ def terahac(
     use the shared ``(rep, size)`` encoding. An id outside
     ``0..n_base-1`` or a weight that is not positive and finite fails
     the first Spark job with an error that names the edge.
+
+    ``max_subgraph_edges`` is the shipped load (edge rows) that the
+    partitioner targets per SubgraphHAC call; an over-target affinity
+    cluster is split into ``ceil(load / cap)`` parts, whose loads can
+    still exceed it (1.3-1.7x measured; see
+    :func:`repro.graphs.affinity.size_constrained_affinity`).
 
     ``shuffle_partitions`` temporarily overrides
     ``spark.sql.shuffle.partitions`` for the run — iterative graph

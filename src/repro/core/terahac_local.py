@@ -74,8 +74,12 @@ def terahac_local(
     ``t`` is the weight threshold (Algorithm 1): the loop stops once no
     edge of weight >= t remains, and each round prunes vertices whose max
     incident weight is < t/(1+eps). ``t=0`` computes the full
-    (1+eps)-approximate dendrogram. Raises ``ValueError`` on an id
-    outside ``0..n_base-1`` or a weight that is not positive and finite.
+    (1+eps)-approximate dendrogram. ``max_subgraph_edges`` is the load
+    the partitioner targets per SubgraphHAC call, not a bound (parts
+    reach 1.3-1.7x it; see
+    :func:`repro.graphs.affinity.size_constrained_affinity`). Raises
+    ``ValueError`` on an id outside ``0..n_base-1`` or a weight that is
+    not positive and finite.
     """
     adj, size = build(edges, n_base)
     m = dict.fromkeys(adj, INF)

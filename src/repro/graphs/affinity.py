@@ -65,11 +65,14 @@ def affinity_clusters(edges_w: DataFrame, vertices: DataFrame) -> DataFrame:
 def size_constrained_affinity(
     edges_w: DataFrame, vertices: DataFrame, max_load: int
 ) -> DataFrame:
-    """Affinity clustering with shipped-load cap.
+    """Affinity clustering with a target shipped load per part.
 
-    ``max_load`` bounds the number of incident-edge rows a single
+    ``max_load`` targets the number of incident-edge rows a single
     SubgraphHAC call receives (the paper uses 10M; tests use far less).
-    Returns ``(id, cluster)`` with cluster ids that are opaque longs.
+    It is a target, not a bound: the split spreads members by key, not by
+    degree, so one part's load reaches 1.3-1.7x ``max_load`` (rMAT-8
+    graphs at 500, a 120-vertex random graph at 40). Returns ``(id,
+    cluster)`` with cluster ids that are opaque longs.
     """
     marked = _marked(edges_w).localCheckpoint(eager=False)  # read by CC and the split
     back = marked.select(F.col("id").alias("best"), F.col("best").alias("back"))

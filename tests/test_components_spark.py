@@ -7,6 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.components import connected_components
+from repro.graphs.io import run_dir
 from tests.util import brute_components
 
 
@@ -21,7 +22,8 @@ def _run(spark, edges, vertices):
         else spark.createDataFrame([], "src long, dst long")
     )
     v = spark.createDataFrame(pd.DataFrame({"id": vertices}))
-    got = {r.id: r.component for r in connected_components(e, v).collect()}
+    with run_dir(spark):
+        got = {r.id: r.component for r in connected_components(e, v).collect()}
     expect = brute_components(edges, vertices)
     assert got == expect
 

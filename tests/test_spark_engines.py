@@ -123,6 +123,9 @@ def test_spark_engines_leave_no_checkpoint_dirs(spark):
     df = edges_to_spark(spark, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
     terahac(spark, df, 4, eps=0.1, t=0.0, shuffle_partitions=2)
     scc_spark(spark, df, 4, rounds=2, t=0.1, shuffle_partitions=2)
+    # A 32-vertex path takes connected components past its first barrier.
+    path = edges_to_spark(spark, [(i, i + 1, 1.0) for i in range(31)])
+    graph_dbscan_spark(spark, path, 32, eps=0.5, min_pts=1)
     with pytest.raises(SparkRuntimeException):
         terahac(spark, edges_to_spark(spark, [(0, 1, 1.0), (1, 2, 0.0)]), 3)
     assert listing() == before

@@ -55,13 +55,10 @@ def _wmax(adj, size, x):
     return max((r / (size[x] * size[y]) for y, r in adj[x].items()), default=0.0)
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
-def test_all_merges_are_good_and_result_is_maximal(seed, eps):
-    n = 60
-    edges = random_weighted_graph(n=n, avg_deg=4, seed=seed)
-    rows = _rows_all_active(edges, n)
-    res = subgraph_hac(rows, eps, n)
+def _check_good_and_maximal(rows, eps, n_base):
+    """Replay the kernel's merges: each is (1+eps)-good at its turn, and
+    no good active-active edge is left at the end."""
+    res = subgraph_hac(rows, eps, n_base)
     adj, size, m, active = _replay_state(rows)
     merged_away = set()
     for mg in res.merges:
@@ -92,6 +89,40 @@ def test_all_merges_are_good_and_result_is_maximal(seed, eps):
                     r / (size[x] * size[y]),
                 )
                 assert g > (1 + eps) * (1 - 1e-9), "good merge left behind"
+    return res
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+def test_all_merges_are_good_and_result_is_maximal(seed, eps):
+    n = 60
+    edges = random_weighted_graph(n=n, avg_deg=4, seed=seed)
+    _check_good_and_maximal(_rows_all_active(edges, n), eps, n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+def test_good_and_maximal_with_ties(seed, eps):
+    """Weights from {0.5, 1.0} make w_max ties everywhere, which is where
+    a cached argmax can go stale; sizes, prior M and inactive vertices
+    vary as in later rounds."""
+    n = 60
+    n_base = 4 * n  # room for every size sum in the id encoding
+    rng = np.random.default_rng(seed)
+    sz = rng.integers(1, 4, n)
+    mm = rng.choice([INF, 1.0, 0.8, 0.5], n)
+    act = rng.random(n) < 0.8
+    ids = [encode_leaf(v, n_base) + int(sz[v]) - 1 for v in range(n)]
+    rows = []
+    for u, v, _ in random_weighted_graph(n=n, avg_deg=5, seed=seed):
+        if act[u] or act[v]:
+            w = float(rng.choice([0.5, 1.0]))
+            rows.append((
+                ids[u], ids[v], w * sz[u] * sz[v], int(sz[u]), int(sz[v]),
+                float(mm[u]), float(mm[v]), bool(act[u]), bool(act[v]),
+            ))
+    res = _check_good_and_maximal(rows, eps, n_base)
+    assert res.merges, "no merge exercised the cache"
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -4,6 +4,8 @@ paper's theorems: exactness at eps=0 (OptimizedRAC == HAC), Lemma 4
 invariance) and round-count behaviour."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.baselines.rac import rac
 from repro.core.dendrogram import empirical_approx_ratio
 from repro.core import terahac_local as engine
 from repro.core.terahac_local import terahac_local
-from repro.synth_data import random_weighted_graph
+from repro.synth_data import degree_weights_local, random_weighted_graph, rmat_edges
 from tests.util import validate_good_merges
 
 
@@ -192,3 +194,25 @@ def test_deterministic():
     a = terahac_local(edges, n, eps=0.1, t=0.01)
     b = terahac_local(edges, n, eps=0.1, t=0.01)
     assert a.dendrogram.merges == b.dendrogram.merges
+
+
+@pytest.mark.parametrize(
+    "cap,digest",
+    [
+        (1 << 30, "c3af1ca6e3b25cd15adabd0ea7fe987da557c142a17220f7800114ae6a92ca2d"),
+        (500, "5d8af5c1673f22871d14afa724a3549d100c7e61b0cb8a6ff51495b5c0c2f727"),
+    ],
+)
+def test_rmat_merges_bit_identical_to_golden(cap, digest):
+    """Kernel or engine speed-ups must not move a single merge: ids,
+    order, similarities to the last bit and round counts on four rMAT-8
+    graphs are pinned by a digest taken with SubgraphHAC's full-rescan
+    kernel, before it cached w_max."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        edges = degree_weights_local(rmat_edges(scale=8, seed=seed))
+        res = terahac_local(edges, 1 << 8, eps=0.1, t=0.01, max_subgraph_edges=cap)
+        for mg in res.dendrogram.merges:
+            h.update(f"{mg.parent},{mg.left},{mg.right},{mg.similarity.hex()};".encode())
+        h.update(f"rounds={res.rounds};".encode())
+    assert h.hexdigest() == digest
