@@ -15,8 +15,13 @@ Each inter-cluster edge is shipped to both of its clusters (so every
 active vertex sees its full neighbourhood, as required for w_max), each
 intra-cluster edge to exactly one. Dendrogram nodes are collected on the
 driver each round; the graph itself never leaves the cluster. Rounds are
-separated by parquet materialization barriers (see
-:mod:`repro.graphs.io` for why ``localCheckpoint`` is not enough).
+separated by one parquet materialization barrier each (see
+:mod:`repro.graphs.io` for why ``localCheckpoint`` is not enough). The
+barrier holds the weighted edge table ``(u, v, raw, su, sv, mu, mv, w)``
+of :func:`repro.graphs.edges.with_weights`, so the heavy-edge count, the
+partitioner and the shipping all read one parquet scan; there is no
+vertex barrier, and the vertex table is a lazy plan that only
+``collect_stats`` counts.
 """
 from __future__ import annotations
 
@@ -138,6 +143,10 @@ def _terahac_impl(
     def checked(c):
         return F.when(ok, c).otherwise(bad)
 
+    one = F.lit(1).cast("long")
+    inf = F.lit(float("inf"))
+    # Every vertex starts as a singleton (size 1, M = +inf), so the
+    # weighted table needs no join: w = raw / (1 * 1).
     e = materialize(
         canonicalize(
             edges.select(
@@ -145,10 +154,13 @@ def _terahac_impl(
                 (checked(vc) * enc).alias("v"),
                 checked(wc).alias("raw"),
             )
+        ).select(
+            "u", "v", "raw", one.alias("su"), one.alias("sv"), inf.alias("mu"),
+            inf.alias("mv"), F.col("raw").alias("w"),
         ),
         "edges",
     )
-    v = materialize(init_vertices(spark, e), "vertices")
+    v = init_vertices(spark, e)  # lazy: only collect_stats counts it
 
     fn = _make_subgraph_fn(eps, n_base)
     merges: list[Merge] = []
@@ -157,25 +169,22 @@ def _terahac_impl(
 
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        ew = with_weights(e, v)
-        n_heavy = num_heavy_edges(ew, t)
+        n_heavy = num_heavy_edges(e, t)
         if n_heavy == 0:
             rounds -= 1
             break
         n_good = None
         if collect_stats:
-            n_good = good_edge_count(ew, eps)
+            n_good = good_edge_count(e, eps)
             n_vertices, n_edges = v.count(), e.count()
         else:
             n_vertices = n_edges = -1
 
-        clusters = size_constrained_affinity(
-            ew.select("u", "v", "w"), v, max_subgraph_edges
-        )
+        clusters = size_constrained_affinity(e.select("u", "v", "w"), max_subgraph_edges)
         cu = clusters.select(F.col("id").alias("u"), F.col("cluster").alias("cu"))
         cv = clusters.select(F.col("id").alias("v"), F.col("cluster").alias("cv"))
         sub = (
-            ew.join(cu, "u")
+            e.join(cu, "u")
             .join(cv, "v")
             .withColumn("cluster", F.explode(F.array_distinct(F.array("cu", "cv"))))
             .select("cluster", "u", "v", "raw", "su", "sv", "mu", "mv", "cu", "cv")
@@ -215,12 +224,10 @@ def _terahac_impl(
         v2 = mapping.select(
             F.col("new_id").alias("id"), "size", "m"
         ).distinct()
-        ew2 = with_weights(e2, v2)
-        e, v = prune_vertices(ew2, v2, prune_at)
+        e, v = prune_vertices(with_weights(e2, v2), v2, prune_at)
         # Round barrier: parquet round-trip, not localCheckpoint — see
         # repro.graphs.io.materialize for why (originStats compounding).
         e = materialize(e, "edges")
-        v = materialize(v, "vertices")
     else:
         last = stats[-1] if stats else None
         raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds; last round: {last}")

@@ -18,6 +18,13 @@ this one also makes every TeraHAC round merge:
   the Lemma 2 invariant ``w_max <= (1+eps)·M``;
 * the key keeps it in one part, whose SubgraphHAC call therefore merges.
 
+The marked graph is therefore a functional graph whose only cycles are
+mutual-best 2-cycles. Pointing the smaller end of each pair at itself
+turns it into a forest, which pointer jumping (``p <- p∘p``, the "local
+contractions" of Łącki et al. [36]) labels in O(log depth) self-joins of
+the n-row pointer table, one count action each; generic connected components
+over the edge table is not needed.
+
 :func:`repro.core.terahac_local._affinity_partition` applies the same rule.
 """
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graphs.components import connected_components
+from repro.graphs.io import materialize
 
 
 def _marked(edges_w: DataFrame) -> DataFrame:
@@ -39,14 +46,58 @@ def _marked(edges_w: DataFrame) -> DataFrame:
     ).select(F.col("src").alias("id"), F.col("b.dst").alias("best"), "deg")
 
 
-def _clusters(marked: DataFrame, vertices: DataFrame) -> DataFrame:
-    """``(id, cluster)``, components of the marked edges. A mutual pair's
-    edge appears twice, which min-label propagation tolerates."""
-    sym = marked.select(F.col("id").alias("src"), F.col("best").alias("dst")).unionByName(
-        marked.select(F.col("best").alias("src"), F.col("id").alias("dst"))
+def _roots(ptr: DataFrame) -> DataFrame:
+    """Pointer jumping on a forest ``(id, ptr, done, ...)`` whose roots
+    point at themselves and have ``done`` set. Returns the same columns
+    with ``ptr`` the root of each row's tree.
+
+    ``done`` means "``ptr`` is a root": a row takes its pointer's pointer
+    and its pointer's flag, so after ``k`` jumps exactly the rows within
+    ``2^k - 1`` of their root are done, and the loop stops once all are.
+    """
+    for it in range(64):
+        up = ptr.select(
+            F.col("id").alias("ptr"), F.col("ptr").alias("up"), F.col("done").alias("up_done")
+        )
+        ptr = (
+            ptr.drop("done")
+            .join(up, "ptr")
+            .drop("ptr")
+            .withColumnsRenamed({"up": "ptr", "up_done": "done"})
+            .localCheckpoint(eager=False)
+        )
+        # One action: materializes `ptr` and reports convergence.
+        if ptr.filter(~F.col("done")).count() == 0:
+            return ptr
+        if it % 8 == 7:
+            # Each self-join squares the plan's size estimate, which
+            # localCheckpoint carries over; a parquet barrier resets it
+            # before trees deeper than 255 slow the optimizer down.
+            ptr = materialize(ptr, "affinity-ptr")
+    raise RuntimeError("pointer jumping did not converge")
+
+
+def _labelled(edges_w: DataFrame) -> DataFrame:
+    """``(id, key, cluster, load)`` for every endpoint of ``edges_w``:
+    ``cluster`` is the min member id of the marked component, ``load``
+    its degree sum and ``key`` the split key."""
+    marked = _marked(edges_w)
+    back = marked.select(F.col("id").alias("best"), F.col("best").alias("back"))
+    mutual = F.col("back") == F.col("id")
+    # The smaller end of a mutual-best pair is its tree's root.
+    root = mutual & (F.col("id") < F.col("best"))
+    forest = marked.join(back, "best").select(
+        "id",
+        "deg",
+        F.when(mutual, F.least("id", "best")).otherwise(F.col("id")).alias("key"),
+        F.when(root, F.col("id")).otherwise(F.col("best")).alias("ptr"),
+        root.alias("done"),
     )
-    comp = connected_components(sym, vertices.select("id"))
-    return comp.withColumnRenamed("component", "cluster")
+    rooted = _roots(forest)
+    per_tree = rooted.groupBy("ptr").agg(
+        F.min("id").alias("cluster"), F.sum("deg").alias("load")
+    )
+    return rooted.join(per_tree, "ptr").select("id", "key", "cluster", "load")
 
 
 def best_edges(edges_w: DataFrame) -> DataFrame:
@@ -57,14 +108,16 @@ def best_edges(edges_w: DataFrame) -> DataFrame:
 
 
 def affinity_clusters(edges_w: DataFrame, vertices: DataFrame) -> DataFrame:
-    """Plain affinity clustering. Returns ``(id, cluster)`` where cluster is
-    the min vertex id of the component of marked edges."""
-    return _clusters(_marked(edges_w), vertices)
+    """Plain affinity clustering. Returns ``(id, cluster)`` for every row of
+    ``vertices`` (``id``), where cluster is the min vertex id of the
+    component of marked edges; a vertex without an edge is its own."""
+    lab = _labelled(edges_w).select("id", "cluster")
+    return vertices.select("id").join(lab, "id", "left").select(
+        "id", F.coalesce("cluster", "id").alias("cluster")
+    )
 
 
-def size_constrained_affinity(
-    edges_w: DataFrame, vertices: DataFrame, max_load: int
-) -> DataFrame:
+def size_constrained_affinity(edges_w: DataFrame, max_load: int) -> DataFrame:
     """Affinity clustering with a target shipped load per part.
 
     ``max_load`` targets the number of incident-edge rows a single
@@ -72,28 +125,17 @@ def size_constrained_affinity(
     It is a target, not a bound: the split spreads members by key, not by
     degree, so one part's load reaches 1.3-1.7x ``max_load`` (rMAT-8
     graphs at 500, a 120-vertex random graph at 40). Returns ``(id,
-    cluster)`` with cluster ids that are opaque longs.
+    cluster)`` for every endpoint of ``edges_w``, with cluster ids that
+    are opaque longs. TeraHAC passes its round barrier, the weighted edge
+    table, and needs no vertex table: only endpoints are shipped.
     """
-    marked = _marked(edges_w).localCheckpoint(eager=False)  # read by CC and the split
-    back = marked.select(F.col("id").alias("best"), F.col("best").alias("back"))
-    keyed = marked.join(back, "best").select(
+    lab = _labelled(edges_w)
+    nparts = F.greatest(F.lit(1), F.ceil(F.col("load") / F.lit(max_load)))
+    out = lab.select(
         "id",
-        "deg",
-        F.when(F.col("back") == F.col("id"), F.least("id", "best"))
-        .otherwise(F.col("id"))
-        .alias("key"),
-    )
-    loaded = _clusters(marked, vertices).join(keyed, "id", "left").fillna({"deg": 0})
-    load = loaded.groupBy("cluster").agg(F.sum("deg").alias("load"))
-    parts = load.select(
-        "cluster",
-        F.greatest(F.lit(1), F.ceil(F.col("load") / F.lit(max_load))).alias("nparts"),
-    )
-    out = loaded.join(parts, "cluster").select(
-        "id",
-        F.when(F.col("nparts") <= 1, F.col("cluster")).otherwise(
-            -(F.col("cluster") * F.col("nparts") + F.pmod("key", "nparts")) - 1
+        F.when(nparts <= 1, F.col("cluster")).otherwise(
+            -(F.col("cluster") * nparts + F.pmod("key", nparts)) - 1
         ).alias("cluster"),
     )
-    # Consumed twice (u- and v-side joins); cut the CC lineage here.
+    # Consumed twice (u- and v-side joins); cut the lineage here.
     return out.localCheckpoint(eager=False)

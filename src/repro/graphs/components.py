@@ -4,8 +4,10 @@ Min-label propagation with pointer-doubling shortcuts (the "local
 contractions" family of Łącki et al. [36], simplified): every vertex
 repeatedly adopts the smallest label in its closed neighbourhood, then
 shortcuts through its current label's label. Converges in O(log n)
-iterations on arbitrary graphs; the affinity/SCC forests that are the
-only callers in this repo typically converge in 2-4 iterations.
+iterations on arbitrary graphs. Graph-DBSCAN's core graph is the only
+caller in this repo: affinity clustering (and through it TeraHAC and
+SCC) labels its marked forest by pointer jumping instead
+(:mod:`repro.graphs.affinity`).
 
 Spark-local-mode job count is the real cost driver of iterative graph
 algorithms, so each iteration runs exactly one job: the convergence

@@ -123,13 +123,14 @@ def prune_vertices(
     Removes every vertex whose maximum incident weight is < ``threshold``
     (isolated vertices included: they have no wmax at all) together with
     all its incident edges. Returns ``(edges, vertices)`` restricted to the
-    surviving vertices; edge columns are reduced back to ``(u, v, raw)``.
+    surviving vertices; the edges keep every column of ``edges_w``, so
+    TeraHAC's round barrier stores the weighted table.
     """
     keep = w_max_per_vertex(edges_w).filter(F.col("wmax") >= threshold).select("id")
     kept_edges = (
         edges_w.join(keep.withColumnRenamed("id", "u"), "u")
         .join(keep.withColumnRenamed("id", "v"), "v")
-        .select("u", "v", "raw")
+        .select(*edges_w.columns)
     )
     kept_vertices = vertices.join(keep, "id")
     return kept_edges, kept_vertices

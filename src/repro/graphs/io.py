@@ -45,7 +45,9 @@ def _ckpt_root(spark: SparkSession) -> str:
 def run_dir(spark: SparkSession):
     """A fresh directory that every :func:`materialize` in the block (the
     innermost block, if they nest) writes under; removed on exit, by
-    return or raise, so nothing read from it may outlive the block."""
+    return or raise, so nothing read from it may outlive the block. The
+    outermost block also removes the checkpoint root if that leaves it
+    empty."""
     path = os.path.join(_open[-1] if _open else _ckpt_root(spark), f"run-{next(_counter)}")
     _open.append(path)
     try:
@@ -53,6 +55,9 @@ def run_dir(spark: SparkSession):
     finally:
         _open.pop()
         shutil.rmtree(path, ignore_errors=True)
+        if not _open:
+            with contextlib.suppress(OSError):  # not empty: kept
+                os.rmdir(_ckpt_root(spark))
 
 
 def materialize(df: DataFrame, tag: str = "step") -> DataFrame:

@@ -8,20 +8,24 @@ from pyspark.sql import functions as F
 
 from repro.graphs.affinity import affinity_clusters, best_edges, size_constrained_affinity
 from repro.graphs.edges import canonicalize, init_vertices, with_weights
+from repro.graphs.io import run_dir
 from repro.oracle import assert_equivalent
 from repro.synth_data import edges_to_spark, random_weighted_graph
 from tests.util import brute_components
 
 
-@pytest.fixture(scope="module")
-def graph(spark):
-    edges = random_weighted_graph(n=70, avg_deg=5, seed=13)
+def _weighted(spark, edges):
     e = canonicalize(
         edges_to_spark(spark, edges).select("u", "v", F.col("w").alias("raw"))
     )
     v = init_vertices(spark, e)
-    ew = with_weights(e, v).select("u", "v", "w")
-    return edges, ew, v
+    return with_weights(e, v).select("u", "v", "w"), v
+
+
+@pytest.fixture(scope="module")
+def graph(spark):
+    edges = random_weighted_graph(n=70, avg_deg=5, seed=13)
+    return (edges, *_weighted(spark, edges))
 
 
 def test_best_edges_oracle(spark, graph):
@@ -77,8 +81,8 @@ def test_affinity_each_best_edge_intra_cluster(spark, graph):
 
 def test_size_constraint_splits_big_clusters(spark, graph):
     edges, ew, v = graph
-    unconstrained = size_constrained_affinity(ew, v, max_load=1 << 30)
-    tiny = size_constrained_affinity(ew, v, max_load=20)
+    unconstrained = size_constrained_affinity(ew, max_load=1 << 30)
+    tiny = size_constrained_affinity(ew, max_load=20)
     n_unc = unconstrained.select("cluster").distinct().count()
     n_tiny = tiny.select("cluster").distinct().count()
     assert n_tiny >= n_unc
@@ -97,7 +101,7 @@ def test_size_constraint_splits_big_clusters(spark, graph):
 
 def test_size_constraint_noop_below_cap(spark, graph):
     _, ew, v = graph
-    a = {r.id: r.cluster for r in size_constrained_affinity(ew, v, 1 << 30).collect()}
+    a = {r.id: r.cluster for r in size_constrained_affinity(ew, 1 << 30).collect()}
     b = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
     assert a == b
 
@@ -109,7 +113,50 @@ def test_refines_affinity_partition(spark, graph):
     which would only coarsen the partition; no two do at this scale)."""
     _, ew, v = graph
     base = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
-    split = {r.id: r.cluster for r in size_constrained_affinity(ew, v, 20).collect()}
+    split = {r.id: r.cluster for r in size_constrained_affinity(ew, 20).collect()}
     seen = {}
     for x, c in split.items():
         assert seen.setdefault(c, base[x]) == base[x]
+
+
+def _reference(edges, cap=None):
+    """Brute force: best edge by max (w, neighbour id), components labelled
+    by min member id, an over-cap component split by the key rule."""
+    adj = {}
+    for u, v, w in edges:
+        adj.setdefault(u, []).append((w, v))
+        adj.setdefault(v, []).append((w, u))
+    best = {x: max(cands)[1] for x, cands in adj.items()}
+    comp = brute_components(list(best.items()), list(adj))
+    if cap is None:
+        return comp
+    load = {}
+    for x, c in comp.items():
+        load[c] = load.get(c, 0) + len(adj[x])
+    out = {}
+    for x, c in comp.items():
+        nparts = -(-load[c] // cap)
+        key = min(x, best[x]) if best[best[x]] == x else x
+        out[x] = c if nparts <= 1 else -(c * nparts + key % nparts) - 1
+    return out
+
+
+# A path whose weights rise toward its end: every vertex marks its right
+# neighbour, so the marked tree is one chain of depth n-2 below the
+# mutual-best pair (n-2, n-1). At n=300 pointer jumping needs 9 jumps
+# and passes its parquet barrier after the 8th.
+_PATH = [(i, i + 1, float(i + 1)) for i in range(299)]
+# All weights equal: the larger-neighbour-id tie-break decides every mark.
+_TIES = [(u, v, 1.0) for u, v, _ in random_weighted_graph(n=60, avg_deg=4, seed=3)]
+
+
+@pytest.mark.parametrize("edges", [_PATH, _TIES], ids=["deep-chain", "all-ties"])
+@pytest.mark.parametrize("cap", [None, 1 << 30, 12])
+def test_affinity_labels_equal_brute_force(spark, edges, cap):
+    ew, v = _weighted(spark, edges)
+    with run_dir(spark):
+        if cap is None:
+            got = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
+        else:
+            got = {r.id: r.cluster for r in size_constrained_affinity(ew, cap).collect()}
+    assert got == _reference(edges, cap)

@@ -8,6 +8,7 @@ so this equivalence is what makes the two sets of results one system.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.core.dendrogram import empirical_approx_ratio
 from repro.core.terahac import terahac
 from repro.core.terahac_local import terahac_local
 from repro.eval.metrics import ari
-from repro.graphs import io
+from repro.graphs import components, io
 from repro.synth_data import edges_to_spark, random_weighted_graph, web_query_lite
 from tests.util import validate_good_merges
 
@@ -61,6 +62,46 @@ def test_terahac_spark_threshold_and_stats(spark, workload):
     # Lemma 8 on the Spark output
     for mn in res.dendrogram.flat_cluster_min_merge(0.3):
         assert mn >= 0.3 / 1.1 * (1 - 1e-9)
+    # Spark == local, round by round (the vertex table is never stored)
+    assert res.stats == terahac_local(edges, N, eps=0.1, t=0.3, collect_stats=True).stats
+
+
+def test_terahac_spark_stats_equal_local_under_cap(spark, workload):
+    """Spark == local round by round also when the cap splits clusters."""
+    edges, df = workload
+    sp = terahac(
+        spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4, max_subgraph_edges=40,
+        collect_stats=True,
+    )
+    lo = terahac_local(edges, N, eps=0.1, t=0.3, max_subgraph_edges=40, collect_stats=True)
+    assert sp.stats == lo.stats
+
+
+def test_terahac_spark_round_barriers(spark, workload, monkeypatch):
+    """Guards the per-round Spark cost: one weighted edge barrier up
+    front, then one kernel barrier and one edge barrier per round, and
+    no connected-components pass (affinity labels by pointer jumping)."""
+    _, df = workload
+    tags = []
+    real_cc, real_mat = components.connected_components, io.materialize
+
+    def no_cc(*args, **kwargs):
+        raise AssertionError("connected_components called")
+
+    def recording(df, tag="step"):
+        tags.append(tag)
+        return real_mat(df, tag)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("repro."):
+            for attr, val in list(vars(mod).items()):
+                if val is real_cc:
+                    monkeypatch.setattr(mod, attr, no_cc)
+                elif val is real_mat:
+                    monkeypatch.setattr(mod, attr, recording)
+    res = terahac(spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4)
+    assert res.rounds > 0
+    assert tags == ["edges"] + ["subgraphhac", "edges"] * res.rounds
 
 
 def test_terahac_spark_equals_local_flatten(spark, workload):
@@ -129,6 +170,8 @@ def test_spark_engines_leave_no_checkpoint_dirs(spark):
     with pytest.raises(SparkRuntimeException):
         terahac(spark, edges_to_spark(spark, [(0, 1, 1.0), (1, 2, 0.0)]), 3)
     assert listing() == before
+    # The root goes too once the last run directory leaves it empty.
+    assert os.path.isdir(root) == bool(before)
 
 
 def test_scc_spark_equals_local(spark, workload):
