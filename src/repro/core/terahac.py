@@ -6,43 +6,45 @@ The paper's Flume-C++ KVTable pipeline maps 1:1 onto Catalyst:
 * ``KeyByClusterId`` + ``GroupByKey`` + per-machine ``SubgraphHac``
                            -> joins + ``groupBy(cluster).applyInPandas``
                               around :func:`repro.core.subgraph_hac.subgraph_hac`
-* ``Contract``             -> two mapping joins + group-by SUM of raw weights
-                              (:func:`repro.graphs.edges.contract`)
+* ``Contract``             -> two inner mapping joins that carry the new
+                              id, size and M of both endpoints, then one
+                              group-by SUM of raw weights
+                              (:func:`repro.graphs.edges.contract_reweight`)
 * ``Prune`` / ``RemoveIsolatedVertices``
-                           -> :func:`repro.graphs.edges.prune_vertices`
+                           -> one window over each vertex's directed edge
+                              rows plus a regroup
+                              (:func:`repro.graphs.edges.prune`)
 
 Each inter-cluster edge is shipped to both of its clusters (so every
 active vertex sees its full neighbourhood, as required for w_max), each
-intra-cluster edge to exactly one. Dendrogram nodes are collected on the
-driver each round; the graph itself never leaves the cluster. Rounds are
-separated by one parquet materialization barrier each (see
-:mod:`repro.graphs.io` for why ``localCheckpoint`` is not enough). The
-barrier holds the weighted edge table ``(u, v, raw, su, sv, mu, mv, w)``
-of :func:`repro.graphs.edges.with_weights`, so the heavy-edge count, the
-partitioner and the shipping all read one parquet scan; there is no
-vertex barrier, and the vertex table is a lazy plan that only
-``collect_stats`` counts.
+intra-cluster edge to exactly one. Rounds are separated by one parquet
+materialization barrier each (see :mod:`repro.graphs.io` for why
+``localCheckpoint`` is not enough). The barrier holds the weighted edge
+table ``(u, v, raw, su, sv, mu, mv, w)`` of
+:func:`repro.graphs.edges.with_weights`, so the partitioner and the
+shipping read one parquet scan; there is no vertex barrier. A barrier is
+removed once the next round's is written.
+
+Counts are read off writes the round does anyway, through
+``DataFrame.observe``, never by a count action: the edge barrier's
+write yields the heavy-edge count (the loop condition) and, for
+``collect_stats``, the edge and vertex counts; the kernel barrier's
+write yields the round's merges, the only rows the driver receives (the
+graph never leaves the cluster). ``collect_stats`` adds one action a
+round, the good-edge count.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 from repro.graphs.affinity import size_constrained_affinity
-from repro.graphs.edges import (
-    canonicalize,
-    contract,
-    good_edge_count,
-    init_vertices,
-    num_heavy_edges,
-    prune_vertices,
-    with_weights,
-)
-from repro.graphs.io import materialize, run_dir
+from repro.graphs.edges import canonicalize, contract_reweight, good_edge_count, prune
+from repro.graphs.io import materialize, release, run_dir
 
 _RESULT_SCHEMA = (
     "tag int, id1 long, id2 long, id3 long, val1 double"
@@ -74,6 +76,18 @@ def _make_subgraph_fn(eps: float, n_base: int):
         return pd.DataFrame(out, columns=["tag", "id1", "id2", "id3", "val1"])
 
     return fn
+
+
+def _edge_barrier(edges_w: DataFrame, t: float) -> tuple[DataFrame, dict[str, int]]:
+    """Write the round barrier and read its counts off the write: edges,
+    heavy edges (``w >= t``) and, if ``edges_w`` comes from
+    :func:`repro.graphs.edges.prune`, vertices. No extra Spark job."""
+    obs = Observation()
+    aggs = [F.count("*").alias("edges"), F.count(F.when(F.col("w") >= t, 1)).alias("heavy")]
+    if "heads" in edges_w.columns:
+        aggs.append(F.coalesce(F.sum("heads"), F.lit(0)).alias("vertices"))
+    e = materialize(edges_w.observe(obs, *aggs).drop("heads"), "edges")
+    return e, obs.get
 
 
 def terahac(
@@ -114,7 +128,7 @@ def terahac(
     try:
         with run_dir(spark):
             return _terahac_impl(
-                spark, edges, n_base, eps, t, max_subgraph_edges, max_rounds,
+                edges, n_base, eps, t, max_subgraph_edges, max_rounds,
                 collect_stats,
             )
     finally:
@@ -122,7 +136,6 @@ def terahac(
 
 
 def _terahac_impl(
-    spark: SparkSession,
     edges: DataFrame,
     n_base: int,
     eps: float,
@@ -147,20 +160,19 @@ def _terahac_impl(
     inf = F.lit(float("inf"))
     # Every vertex starts as a singleton (size 1, M = +inf), so the
     # weighted table needs no join: w = raw / (1 * 1).
-    e = materialize(
-        canonicalize(
-            edges.select(
-                (checked(uc) * enc).alias("u"),
-                (checked(vc) * enc).alias("v"),
-                checked(wc).alias("raw"),
-            )
-        ).select(
-            "u", "v", "raw", one.alias("su"), one.alias("sv"), inf.alias("mu"),
-            inf.alias("mv"), F.col("raw").alias("w"),
-        ),
-        "edges",
+    e0 = canonicalize(
+        edges.select(
+            (checked(uc) * enc).alias("u"),
+            (checked(vc) * enc).alias("v"),
+            checked(wc).alias("raw"),
+        )
+    ).select(
+        "u", "v", "raw", one.alias("su"), one.alias("sv"), inf.alias("mu"),
+        inf.alias("mv"), F.col("raw").alias("w"),
     )
-    v = init_vertices(spark, e)  # lazy: only collect_stats counts it
+    if collect_stats:  # a prune that keeps every edge, for its vertex count
+        e0 = prune(e0, float("-inf"))
+    e, counts = _edge_barrier(e0, t)
 
     fn = _make_subgraph_fn(eps, n_base)
     merges: list[Merge] = []
@@ -169,16 +181,10 @@ def _terahac_impl(
 
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        n_heavy = num_heavy_edges(e, t)
-        if n_heavy == 0:
+        if counts["heavy"] == 0:
             rounds -= 1
             break
-        n_good = None
-        if collect_stats:
-            n_good = good_edge_count(e, eps)
-            n_vertices, n_edges = v.count(), e.count()
-        else:
-            n_vertices = n_edges = -1
+        n_good = good_edge_count(e, eps) if collect_stats else None
 
         clusters = size_constrained_affinity(e.select("u", "v", "w"), max_subgraph_edges)
         cu = clusters.select(F.col("id").alias("u"), F.col("cluster").alias("cu"))
@@ -189,21 +195,22 @@ def _terahac_impl(
             .withColumn("cluster", F.explode(F.array_distinct(F.array("cu", "cv"))))
             .select("cluster", "u", "v", "raw", "su", "sv", "mu", "mv", "cu", "cv")
         )
+        # The merges ride on the kernel barrier's write (no collect
+        # action); `pos` keeps each call's merges in performed order.
+        merged = Observation()
         result = materialize(
-            sub.groupBy("cluster").applyInPandas(fn, _RESULT_SCHEMA),
+            sub.groupBy("cluster").applyInPandas(fn, _RESULT_SCHEMA)
+            .withColumn("pos", F.monotonically_increasing_id())
+            .observe(merged, F.collect_list(F.when(
+                F.col("tag") == 1, F.struct("pos", "id1", "id2", "id3", "val1")
+            )).alias("rows"))
+            .drop("pos"),
             "subgraphhac",
         )
         round_merges = [
             Merge(parent=r.id1, left=r.id2, right=r.id3, similarity=r.val1)
-            for r in result.filter(F.col("tag") == 1).collect()
+            for r in sorted(merged.get["rows"])
         ]
-        mapping = result.filter(F.col("tag") == 0).select(
-            F.col("id1").alias("old_id"),
-            F.col("id2").alias("new_id"),
-            F.col("id3").alias("size"),
-            F.col("val1").alias("m"),
-        )
-
         if not round_merges:
             # A mutual-best pair is good and never split (graphs/affinity.py).
             raise RuntimeError(f"round {rounds} made no merge: Lemma 2 invariant broken")
@@ -212,22 +219,24 @@ def _terahac_impl(
         stats.append(
             RoundStats(
                 round=rounds,
-                n_vertices=n_vertices,
-                n_edges=n_edges,
-                n_heavy=n_heavy,
+                n_vertices=counts["vertices"] if collect_stats else -1,
+                n_edges=counts["edges"] if collect_stats else -1,
+                n_heavy=counts["heavy"],
                 n_merges=len(round_merges),
                 n_good=n_good,
             )
         )
 
-        e2 = contract(e, mapping.select("old_id", "new_id"))
-        v2 = mapping.select(
-            F.col("new_id").alias("id"), "size", "m"
-        ).distinct()
-        e, v = prune_vertices(with_weights(e2, v2), v2, prune_at)
-        # Round barrier: parquet round-trip, not localCheckpoint — see
-        # repro.graphs.io.materialize for why (originStats compounding).
-        e = materialize(e, "edges")
+        mapping = result.filter(F.col("tag") == 0).select(
+            F.col("id1").alias("old_id"),
+            F.col("id2").alias("new_id"),
+            F.col("id3").alias("size"),
+            F.col("val1").alias("m"),
+        )
+        prev = e
+        e, counts = _edge_barrier(prune(contract_reweight(e, mapping), prune_at), t)
+        # Nothing reads the last round's barriers any more.
+        release(prev, result)
     else:
         last = stats[-1] if stats else None
         raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds; last round: {last}")

@@ -22,17 +22,19 @@ The marked graph is therefore a functional graph whose only cycles are
 mutual-best 2-cycles. Pointing the smaller end of each pair at itself
 turns it into a forest, which pointer jumping (``p <- p∘p``, the "local
 contractions" of Łącki et al. [36]) labels in O(log depth) self-joins of
-the n-row pointer table, one count action each; generic connected components
-over the edge table is not needed.
+the n-row pointer table. Each self-join is one eager checkpoint whose
+observed count of unfinished rows stops the loop, with no count action;
+a window over the roots then takes each tree's min id and load. Generic
+connected components over the edge table is not needed.
 
 :func:`repro.core.terahac_local._affinity_partition` applies the same rule.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation, Window
 from pyspark.sql import functions as F
 
-from repro.graphs.io import materialize
+from repro.graphs.io import materialize, release
 
 
 def _marked(edges_w: DataFrame) -> DataFrame:
@@ -54,26 +56,33 @@ def _roots(ptr: DataFrame) -> DataFrame:
     ``done`` means "``ptr`` is a root": a row takes its pointer's pointer
     and its pointer's flag, so after ``k`` jumps exactly the rows within
     ``2^k - 1`` of their root are done, and the loop stops once all are.
+    Each jump is one eager ``localCheckpoint`` that also observes how
+    many rows are not done, so convergence costs no action of its own.
     """
+    barrier = None
     for it in range(64):
         up = ptr.select(
             F.col("id").alias("ptr"), F.col("ptr").alias("up"), F.col("done").alias("up_done")
         )
+        left = Observation()
         ptr = (
             ptr.drop("done")
             .join(up, "ptr")
             .drop("ptr")
             .withColumnsRenamed({"up": "ptr", "up_done": "done"})
-            .localCheckpoint(eager=False)
+            .observe(left, F.count(F.when(~F.col("done"), 1)).alias("n"))
+            .localCheckpoint(eager=True)
         )
-        # One action: materializes `ptr` and reports convergence.
-        if ptr.filter(~F.col("done")).count() == 0:
+        if barrier is not None:  # the checkpoint above holds what it read
+            release(barrier)
+            barrier = None
+        if left.get["n"] == 0:
             return ptr
         if it % 8 == 7:
             # Each self-join squares the plan's size estimate, which
             # localCheckpoint carries over; a parquet barrier resets it
             # before trees deeper than 255 slow the optimizer down.
-            ptr = materialize(ptr, "affinity-ptr")
+            ptr = barrier = materialize(ptr, "affinity-ptr")
     raise RuntimeError("pointer jumping did not converge")
 
 
@@ -93,11 +102,13 @@ def _labelled(edges_w: DataFrame) -> DataFrame:
         F.when(root, F.col("id")).otherwise(F.col("best")).alias("ptr"),
         root.alias("done"),
     )
-    rooted = _roots(forest)
-    per_tree = rooted.groupBy("ptr").agg(
-        F.min("id").alias("cluster"), F.sum("deg").alias("load")
+    tree = Window.partitionBy("ptr")
+    return _roots(forest).select(
+        "id",
+        "key",
+        F.min("id").over(tree).alias("cluster"),
+        F.sum("deg").over(tree).alias("load"),
     )
-    return rooted.join(per_tree, "ptr").select("id", "key", "cluster", "load")
 
 
 def best_edges(edges_w: DataFrame) -> DataFrame:

@@ -11,10 +11,16 @@ Representation (used by every algorithm in this repo):
   is the min-merge similarity M(v) of Definition 2 (+inf for singletons).
 
 The displayed average-linkage weight is ``w = raw / (size_u * size_v)``.
+
+TeraHAC's round tail is :func:`contract_reweight` followed by
+:func:`prune`: two joins, a group-by, a window and a regroup from the
+kernel's mapping to the next barrier, with no vertex table. SCC keeps
+:func:`contract` (a partial mapping) and :func:`with_weights`. Nothing
+here runs a Spark action except :func:`good_edge_count`.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 
@@ -69,11 +75,6 @@ def degrees(edges: DataFrame) -> DataFrame:
     return both.groupBy("id").agg(F.count("*").alias("deg"))
 
 
-def num_heavy_edges(edges_w: DataFrame, t: float) -> int:
-    """Number of (undirected) edges with normalized weight >= t."""
-    return edges_w.filter(F.col("w") >= t).count()
-
-
 def good_edge_count(edges_w: DataFrame, eps: float) -> int:
     """Number of `(1+eps)`-good edges in the *global* graph (Definition 2).
 
@@ -115,25 +116,75 @@ def contract(edges: DataFrame, mapping: DataFrame) -> DataFrame:
     return canonicalize(e.select(F.col("a").alias("u"), F.col("b").alias("v"), "raw"))
 
 
-def prune_vertices(
-    edges_w: DataFrame, vertices: DataFrame, threshold: float
-) -> tuple[DataFrame, DataFrame]:
-    """Vertex pruning (Algorithm 1, line 7).
+def contract_reweight(edges_w: DataFrame, mapping: DataFrame) -> DataFrame:
+    """Contract a weighted edge table and reweight it in one pass.
+
+    ``mapping`` is ``(old_id, new_id, size, m)`` with a row for *every*
+    endpoint of ``edges_w`` (TeraHAC's kernel maps each active vertex
+    exactly once), so two inner joins carry the new id, size and M of
+    both endpoints together. Each edge is oriented ``u < v`` with its
+    endpoint columns, self loops are dropped and parallel edges summed.
+    Output: the columns of :func:`with_weights`.
+    """
+
+    def side(old: str, new: str) -> DataFrame:
+        return mapping.select(
+            F.col("old_id").alias(old), F.col("new_id").alias(new),
+            F.col("size").alias("s" + new), F.col("m").alias("m" + new),
+        )
+
+    e = (
+        edges_w.select("u", "v", "raw")
+        .join(side("u", "a"), "u")
+        .join(side("v", "b"), "v")
+        .filter(F.col("a") != F.col("b"))
+    )
+    lo = F.col("a") < F.col("b")
+
+    def pick(x: str, y: str) -> Column:
+        return F.when(lo, F.col(x)).otherwise(F.col(y))
+
+    return (
+        e.select(
+            pick("a", "b").alias("u"), pick("b", "a").alias("v"), "raw",
+            pick("sa", "sb").alias("su"), pick("sb", "sa").alias("sv"),
+            pick("ma", "mb").alias("mu"), pick("mb", "ma").alias("mv"),
+        )
+        # su..mv are constant per (u, v): grouping by them only carries them.
+        .groupBy("u", "v", "su", "sv", "mu", "mv")
+        .agg(F.sum("raw").alias("raw"))
+        .withColumn("w", F.col("raw") / (F.col("su") * F.col("sv")))
+        .select("u", "v", "raw", "su", "sv", "mu", "mv", "w")
+    )
+
+
+def prune(edges_w: DataFrame, threshold: float) -> DataFrame:
+    """Vertex pruning (Algorithm 1, line 7) in one window pass.
 
     Removes every vertex whose maximum incident weight is < ``threshold``
-    (isolated vertices included: they have no wmax at all) together with
-    all its incident edges. Returns ``(edges, vertices)`` restricted to the
-    surviving vertices; the edges keep every column of ``edges_w``, so
-    TeraHAC's round barrier stores the weighted table.
+    together with all its incident edges: each edge becomes two directed
+    rows, one per endpoint ``x``; a window over ``x`` keeps a row iff the
+    heaviest row of its partition reaches ``threshold``, and regrouping
+    keeps an edge iff both of its rows survive. Vertices left without an
+    edge vanish with it. Output: the columns of ``edges_w`` plus
+    ``heads``, the number of endpoints whose heaviest row is this edge's.
+    A surviving vertex's heaviest edge survives too, so ``sum(heads)``
+    counts the surviving vertices.
     """
-    keep = w_max_per_vertex(edges_w).filter(F.col("wmax") >= threshold).select("id")
-    kept_edges = (
-        edges_w.join(keep.withColumnRenamed("id", "u"), "u")
-        .join(keep.withColumnRenamed("id", "v"), "v")
-        .select(*edges_w.columns)
+    cols = edges_w.columns
+    by_x = Window.partitionBy("x").orderBy(F.desc("w"))
+    rows = edges_w.select(F.explode(F.array("u", "v")).alias("x"), *cols).select(
+        *cols,
+        (F.first("w").over(by_x) >= threshold).alias("keep"),
+        (F.row_number().over(by_x) == 1).cast("long").alias("head"),
     )
-    kept_vertices = vertices.join(keep, "id")
-    return kept_edges, kept_vertices
+    return (
+        rows.filter("keep")
+        .groupBy(*cols)
+        .agg(F.count("*").alias("n"), F.sum("head").alias("heads"))
+        .filter(F.col("n") == 2)
+        .drop("n")
+    )
 
 
 def init_vertices(spark: SparkSession, edges: DataFrame) -> DataFrame:

@@ -14,7 +14,8 @@ Flume materializes its output — so the barrier is faithful to the
 system being reproduced, not just a workaround.
 
 An engine call writes its barriers inside :func:`run_dir`, which
-removes them when the call returns or raises.
+removes them when the call returns or raises; a barrier that a later
+one supersedes can be removed sooner with :func:`release`.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import itertools
 import os
 import shutil
 import tempfile
+import urllib.parse
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -72,3 +74,19 @@ def materialize(df: DataFrame, tag: str = "step") -> DataFrame:
     path = os.path.join(_open[-1] if _open else _ckpt_root(spark), f"{tag}-{next(_counter)}")
     df.write.mode("overwrite").parquet(path)
     return spark.read.parquet(path)
+
+
+def release(*dfs: DataFrame) -> None:
+    """Remove the barriers that ``dfs`` were read from (each a
+    :func:`materialize` result), so a long run keeps only the rounds it
+    still reads. Any plan that still reads one of them fails; only
+    directories inside an open :func:`run_dir` are removed. No Spark job.
+    """
+    dirs = {
+        os.path.dirname(urllib.parse.unquote(urllib.parse.urlparse(f).path))
+        for df in dfs
+        for f in df.inputFiles()
+    }
+    for d in dirs:
+        if any(d.startswith(r + os.sep) for r in _open):
+            shutil.rmtree(d, ignore_errors=True)

@@ -10,10 +10,10 @@ from pyspark.sql import functions as F
 from repro.graphs.edges import (
     canonicalize,
     contract,
+    contract_reweight,
     degrees,
     init_vertices,
-    num_heavy_edges,
-    prune_vertices,
+    prune,
     w_max_per_vertex,
     with_weights,
 )
@@ -94,20 +94,6 @@ def test_degrees_oracle(spark, graph):
     )
 
 
-def test_num_heavy_edges_oracle(spark, graph):
-    e, v, _ = graph
-    ew = with_weights(e, v)
-    got = num_heavy_edges(ew, 0.5)
-    expect = ew.filter(F.col("w") >= 0.5).count()
-    assert got == expect
-    import duckdb
-
-    con = duckdb.connect()
-    con.register("ew", ew.select("w").toPandas())
-    assert got == con.execute("SELECT count(*) FROM ew WHERE w >= 0.5").fetchone()[0]
-    con.close()
-
-
 def test_contract_oracle(spark, graph):
     e, _, _ = graph
     # map every vertex to id // 10 (a coarse partition)
@@ -139,31 +125,65 @@ def test_contract_partial_mapping(spark):
     assert got == {(0, 2): 2.0}  # 0-1 became a self loop and vanished
 
 
-def test_prune_vertices_oracle(spark, graph):
-    e, v, _ = graph
-    ew = with_weights(e, v)
-    ke, kv = prune_vertices(ew, v, 0.4)
-    import duckdb
-
-    con = duckdb.connect()
-    con.register("ew", ew.select("u", "v", "w", "raw").toPandas())
-    keep = set(
-        con.execute(
-            """
-            WITH sym AS (SELECT u AS id, w FROM ew UNION ALL
-                         SELECT v AS id, w FROM ew)
-            SELECT id FROM sym GROUP BY id HAVING max(w) >= 0.4
-            """
-        ).fetchdf()["id"]
+def test_contract_reweight_prune_oracle(spark, graph):
+    """TeraHAC's fused round tail (contract, reweight, prune) against
+    DuckDB, under a mapping that merges each even id with the next odd
+    one. 100 and 101 merge into a vertex with no edge left, and 102
+    hangs off 0 by an edge too light to keep it."""
+    e, _, _ = graph
+    extra = spark.createDataFrame(
+        pd.DataFrame({"u": [100, 0], "v": [101, 102], "raw": [0.9, 0.01]})
     )
-    con.close()
-    assert set(r.id for r in kv.collect()) == keep
-    for r in ke.collect():
-        assert r.u in keep and r.v in keep
-    # no surviving-vertex edge lost
-    assert ke.count() == ew.filter(
-        F.col("u").isin(list(keep)) & F.col("v").isin(list(keep))
-    ).count()
+    e = e.unionByName(extra)
+    ew = with_weights(e, init_vertices(spark, e))
+    ids = ew.select(F.col("u").alias("old_id")).unionByName(
+        ew.select(F.col("v").alias("old_id"))
+    ).distinct()
+    pairs = ids.select("old_id", (F.col("old_id") - F.col("old_id") % 2).alias("new_id"))
+    mapping = pairs.join(pairs.groupBy("new_id").agg(F.count("*").alias("size")), "new_id").select(
+        "old_id", "new_id", "size", (0.5 + F.col("new_id") % 7 / 10).alias("m")
+    )
+    threshold = 0.25
+    contracted = contract_reweight(ew, mapping)
+    got = prune(contracted, threshold)
+    assert_equivalent(
+        got,
+        f"""
+        WITH c AS (
+          SELECT a.new_id AS a, b.new_id AS b, e.raw, a.size AS sa,
+                 b.size AS sb, a.m AS ma, b.m AS mb
+          FROM ew e JOIN mp a ON e.u = a.old_id JOIN mp b ON e.v = b.old_id
+          WHERE a.new_id <> b.new_id
+        ), g AS (
+          SELECT least(a, b) AS u, greatest(a, b) AS v,
+                 CASE WHEN a < b THEN sa ELSE sb END AS su,
+                 CASE WHEN a < b THEN sb ELSE sa END AS sv,
+                 CASE WHEN a < b THEN ma ELSE mb END AS mu,
+                 CASE WHEN a < b THEN mb ELSE ma END AS mv,
+                 sum(raw) AS raw
+          FROM c GROUP BY 1, 2, 3, 4, 5, 6
+        ), gw AS (
+          SELECT *, raw / (su * sv) AS w FROM g
+        ), wm AS (
+          SELECT id, max(w) AS wmax FROM (
+            SELECT u AS id, w FROM gw UNION ALL SELECT v AS id, w FROM gw
+          ) GROUP BY id
+        )
+        SELECT gw.*, (a.wmax = gw.w)::BIGINT + (b.wmax = gw.w)::BIGINT AS heads
+        FROM gw JOIN wm a ON gw.u = a.id JOIN wm b ON gw.v = b.id
+        WHERE a.wmax >= {threshold} AND b.wmax >= {threshold}
+        """,
+        ew=ew,
+        mp=mapping,
+    )
+
+    def ends(df):
+        return {x for r in df.select("u", "v").collect() for x in r}
+
+    before, after = ends(contracted), ends(got)
+    assert 100 not in before and 102 in before and 102 not in after
+    assert 0 < len(after) < len(before) - 1  # more than 102 is pruned
+    assert got.agg(F.sum("heads")).first()[0] == len(after)
 
 
 def test_degree_log_weights_oracle(spark):

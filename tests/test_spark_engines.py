@@ -19,6 +19,7 @@ from repro.baselines.dbscan import graph_dbscan_local, graph_dbscan_spark
 from repro.baselines.hac_exact import exact_hac_graph
 from repro.baselines.scc import scc_local, scc_spark
 from repro.core.dendrogram import empirical_approx_ratio
+import repro.core.terahac as terahac_module
 from repro.core.terahac import terahac
 from repro.core.terahac_local import terahac_local
 from repro.eval.metrics import ari
@@ -102,6 +103,83 @@ def test_terahac_spark_round_barriers(spark, workload, monkeypatch):
     res = terahac(spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4)
     assert res.rounds > 0
     assert tags == ["edges"] + ["subgraphhac", "edges"] * res.rounds
+
+
+def test_terahac_spark_job_budget(spark, workload, monkeypatch):
+    """Guards the per-round Spark cost by counting the jobs of one
+    ``terahac()`` call (N=120, t=0.3, 3 rounds) through a job group.
+    The budget is the count measured on Spark 4.1 in local mode once each
+    round was one kernel barrier plus one fused contract-reweight-prune
+    barrier with every count read off the writes: 78 jobs in a warm
+    session, 79 as a session's first call, plus one job of slack (122
+    before; AQE makes each shuffle stage a job of its own). A count
+    action or an extra join breaks it. Without ``collect_stats`` no
+    ``DataFrame.count`` may run at all."""
+    edges, _ = workload
+    df = edges_to_spark(spark, edges)  # uncached: the count cannot depend on test order
+    counts = []
+    real_count = type(df).count
+
+    def counting(self):
+        counts.append(self)
+        return real_count(self)
+
+    monkeypatch.setattr(type(df), "count", counting)
+    sc = spark.sparkContext
+    sc.setJobGroup("terahac-job-budget", "terahac-job-budget")
+    try:
+        assert terahac(spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4).rounds == 3
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
+            sc.setLocalProperty(key, None)
+    jobs = len(sc.statusTracker().getJobIdsForGroup("terahac-job-budget"))
+    assert counts == []
+    assert jobs <= 80
+
+
+def test_terahac_spark_keeps_one_round_of_barriers(spark, monkeypatch):
+    """A superseded barrier is removed once the next edge barrier is
+    written: whenever a barrier is written, the run directory holds at
+    most one barrier of each kind, and the call ends holding only its
+    last edge barrier. The graph is the N-vertex workload (3 rounds at
+    t=0.3) beside a 300-vertex path with rising weights, whose affinity
+    tree of depth 298 makes pointer jumping write an ``affinity-ptr``
+    barrier too."""
+    held, tags = [], []
+
+    def listing():
+        return sorted(name.rsplit("-", 1)[0] for name in os.listdir(io._open[-1]))
+
+    real_mat = io.materialize
+
+    def recording(df, tag="step"):
+        tags.append(tag)
+        if os.path.isdir(io._open[-1]):
+            held.append(listing())
+        return real_mat(df, tag)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("repro."):
+            for attr, val in list(vars(mod).items()):
+                if val is real_mat:
+                    monkeypatch.setattr(mod, attr, recording)
+    real_impl = terahac_module._terahac_impl
+
+    def impl(*args):
+        res = real_impl(*args)
+        held.append(listing())
+        return res
+
+    monkeypatch.setattr(terahac_module, "_terahac_impl", impl)
+    path = [(i, i + 1, (i + 1) / 300) for i in range(299)]
+    rest = [(u + 300, v + 300, w) for u, v, w in random_weighted_graph(n=N, avg_deg=5, seed=5)]
+    res = terahac(
+        spark, edges_to_spark(spark, path + rest), 300 + N, eps=0.1, t=0.3,
+        shuffle_partitions=4,
+    )
+    assert res.rounds > 1 and "affinity-ptr" in tags
+    assert all(len(kinds) == len(set(kinds)) for kinds in held), held
+    assert held[-1] == ["edges"]
 
 
 def test_terahac_spark_equals_local_flatten(spark, workload):
