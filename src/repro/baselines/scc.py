@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import localgraph
 from repro.core.goodness import encode_leaf
 from repro.graphs.affinity import affinity_clusters
-from repro.graphs.edges import canonicalize, contract, init_vertices, with_weights
-from repro.graphs.io import materialize, run_dir
+from repro.graphs.edges import contract_reweight, singletons
+from repro.graphs.io import engine_run, materialize, release
 
 
 def threshold_schedule(w_upper: float, t: float, rounds: int) -> list[float]:
@@ -110,43 +110,40 @@ def scc_spark(
     rounds: int,
     t: float,
     record_levels: bool = True,
-    collect_stats: bool = False,
-    shuffle_partitions: int | None = 8,
 ) -> SCCResult:
     """Run SCC on Spark DataFrames. ``edges`` is ``(u, v, w)``.
 
-    When ``record_levels`` is False only the final level is collected
-    (pure-timing mode); per-round node/edge counts (Fig. 14 analogue)
-    cost two extra jobs per round and are gated by ``collect_stats``.
-    The run's parquet barriers are removed when it returns or raises.
+    Each round keeps TeraHAC's weighted edge barrier (round 0:
+    :func:`repro.graphs.edges.singletons`; then
+    :func:`repro.graphs.edges.contract_reweight`) and the assignment
+    barrier ``(orig, cur, prev)`` of original vertices to clusters. A
+    cluster's id is its min original vertex id, so ``orig == cur`` counts
+    the clusters; that count, the edge count and ``w_upper`` are
+    observed on the writes, so per-round stats (Fig. 14 analogue) cost
+    no job. When ``record_levels`` is False only the final level is
+    collected (pure-timing mode). The run's parquet barriers are removed
+    when it returns or raises.
     """
-    prev_sp = spark.conf.get("spark.sql.shuffle.partitions")
-    if shuffle_partitions is not None:
-        spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
-    try:
-        with run_dir(spark):
-            return _scc_spark_impl(
-                spark, edges, n_base, rounds, t, record_levels, collect_stats
-            )
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", prev_sp)
+    with engine_run(spark):
+        return _scc_spark_impl(edges, n_base, rounds, t, record_levels)
+
+
+def _barrier(df: DataFrame, tag: str, **aggs: Column) -> tuple[DataFrame, dict]:
+    """Write ``df`` as a barrier and read ``aggs`` off the write."""
+    obs = Observation()
+    return materialize(df.observe(obs, *(c.alias(k) for k, c in aggs.items())), tag), obs.get
 
 
 def _scc_spark_impl(
-    spark: SparkSession,
-    edges: DataFrame,
-    n_base: int,
-    rounds: int,
-    t: float,
-    record_levels: bool,
-    collect_stats: bool,
+    edges: DataFrame, n_base: int, rounds: int, t: float, record_levels: bool
 ) -> SCCResult:
-    e = materialize(
-        canonicalize(edges.select("u", "v", F.col("w").alias("raw"))), "scc-edges"
+    e, counts = _barrier(
+        singletons(edges.select("u", "v", F.col("w").alias("raw"))),
+        "scc-edges",
+        edges=F.count("*"),
+        w_upper=F.max("w"),
     )
-    v = materialize(init_vertices(spark, e), "scc-vertices")
-
-    w_upper = with_weights(e, v).agg(F.max("w")).collect()[0][0]
+    w_upper = counts["w_upper"]
     result = SCCResult()
     if w_upper is None or w_upper <= 0:
         lab = np.arange(n_base, dtype=np.int64)
@@ -156,39 +153,41 @@ def _scc_spark_impl(
         return result
     taus = threshold_schedule(max(w_upper, t), t, rounds)
 
-    # original vertex -> current cluster id
-    assign = materialize(
-        e.sparkSession.range(n_base).select(
-            F.col("id").alias("orig"), F.col("id").alias("cur")
-        ),
-        "scc-assign",
+    # original vertex -> current cluster id; a leaf plan, not a barrier
+    assign = edges.sparkSession.range(n_base).select(
+        F.col("id").alias("orig"), F.col("id").alias("cur")
     )
-
+    clusters = n_base
     for i, tau in enumerate(taus):
-        ew = with_weights(e, v)
-        if collect_stats:
-            result.nodes_per_round.append(v.count())
-            result.edges_per_round.append(e.count())
-        mapping = affinity_clusters(ew.filter(F.col("w") >= tau), v).select(
-            F.col("id").alias("old_id"), F.col("cluster").alias("new_id")
-        )
-        e = materialize(contract(e, mapping), "scc-edges")
-        v = materialize(
-            v.join(mapping, v.id == mapping.old_id)
-            .groupBy(F.col("new_id").alias("id"))
-            .agg(F.sum("size").alias("size"), F.lit(float("inf")).alias("m")),
-            "scc-vertices",
-        )
-        assign = materialize(
-            assign.join(mapping, assign.cur == mapping.old_id, "left")
-            .select("orig", F.coalesce("new_id", "cur").alias("cur")),
+        result.nodes_per_round.append(clusters)
+        result.edges_per_round.append(counts["edges"])
+        labels = affinity_clusters(e.filter(F.col("w") >= tau))
+        prev = assign
+        assign, seen = _barrier(
+            assign.join(labels, assign.cur == labels.id, "left").select(
+                "orig",
+                F.coalesce("cluster", "cur").alias("cur"),
+                F.col("cur").alias("prev"),
+            ),
             "scc-assign",
+            clusters=F.count(F.when(F.col("orig") == F.col("cur"), 1)),
         )
+        clusters = seen["clusters"]
+        if i < len(taus) - 1:
+            # Each new cluster's size is its number of assignment rows.
+            mapping = assign.groupBy(F.col("cur").alias("new_id")).agg(
+                F.count("*").alias("size"), F.collect_set("prev").alias("olds")
+            ).select(
+                F.explode("olds").alias("old_id"), "new_id", "size",
+                F.lit(float("inf")).alias("m"),
+            )
+            prev_e = e
+            e, counts = _barrier(contract_reweight(e, mapping), "scc-edges", edges=F.count("*"))
+            release(prev_e, prev)
         if record_levels or i == len(taus) - 1:
-            rows = assign.collect()
             lab = np.zeros(n_base, dtype=np.int64)
-            for r in rows:
+            for r in assign.select("orig", "cur").collect():
                 lab[r.orig] = r.cur
             result.levels.append(lab)
-            result.n_clusters.append(v.count())
+            result.n_clusters.append(clusters)
     return result

@@ -47,8 +47,9 @@ def build(
     """Singleton-cluster graph of ``edges`` = ``(u, v, w)`` over
     ``0..n_base-1``, keyed by encoded leaf ids.
 
-    Only endpoints get a row (as :func:`repro.graphs.edges.init_vertices`
-    on the Spark side); self-loops are dropped and parallel edges summed.
+    Only endpoints get a row (as in the Spark engines' weighted edge
+    table, :func:`repro.graphs.edges.singletons`, which has no vertex
+    table); self-loops are dropped and parallel edges summed.
     Raises ``ValueError`` on an id outside ``[0, n_base)`` or a weight
     that is not positive and finite: neither has a meaning in average
     linkage, and both would otherwise fail far from their cause.

@@ -20,8 +20,8 @@ active vertex sees its full neighbourhood, as required for w_max), each
 intra-cluster edge to exactly one. Rounds are separated by one parquet
 materialization barrier each (see :mod:`repro.graphs.io` for why
 ``localCheckpoint`` is not enough). The barrier holds the weighted edge
-table ``(u, v, raw, su, sv, mu, mv, w)`` of
-:func:`repro.graphs.edges.with_weights`, so the partitioner and the
+table ``(u, v, raw, su, sv, mu, mv, w)`` (round 0:
+:func:`repro.graphs.edges.singletons`), so the partitioner and the
 shipping read one parquet scan; there is no vertex barrier. A barrier is
 removed once the next round's is written.
 
@@ -43,8 +43,8 @@ from repro.core.dendrogram import Dendrogram
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 from repro.graphs.affinity import size_constrained_affinity
-from repro.graphs.edges import canonicalize, contract_reweight, good_edge_count, prune
-from repro.graphs.io import materialize, release, run_dir
+from repro.graphs.edges import contract_reweight, good_edge_count, prune, singletons
+from repro.graphs.io import engine_run, materialize, release
 
 _RESULT_SCHEMA = (
     "tag int, id1 long, id2 long, id3 long, val1 double"
@@ -99,7 +99,6 @@ def terahac(
     max_subgraph_edges: int = 200_000,
     max_rounds: int = 100,
     collect_stats: bool = False,
-    shuffle_partitions: int | None = 8,
 ) -> TeraHACResult:
     """Run distributed TeraHAC.
 
@@ -116,23 +115,14 @@ def terahac(
     still exceed it (1.3-1.7x measured; see
     :func:`repro.graphs.affinity.size_constrained_affinity`).
 
-    ``shuffle_partitions`` temporarily overrides
-    ``spark.sql.shuffle.partitions`` for the run — iterative graph
-    rounds on a single box are scheduler-latency-bound, so small graphs
-    want few partitions (None leaves the session setting untouched).
-    The run's parquet barriers are removed when it returns or raises.
+    The run shuffles into :data:`repro.graphs.io.SHUFFLE_PARTITIONS`
+    partitions, and its parquet barriers are removed when it returns or
+    raises (:func:`repro.graphs.io.engine_run`).
     """
-    prev_sp = spark.conf.get("spark.sql.shuffle.partitions")
-    if shuffle_partitions is not None:
-        spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
-    try:
-        with run_dir(spark):
-            return _terahac_impl(
-                edges, n_base, eps, t, max_subgraph_edges, max_rounds,
-                collect_stats,
-            )
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", prev_sp)
+    with engine_run(spark):
+        return _terahac_impl(
+            edges, n_base, eps, t, max_subgraph_edges, max_rounds, collect_stats
+        )
 
 
 def _terahac_impl(
@@ -156,19 +146,12 @@ def _terahac_impl(
     def checked(c):
         return F.when(ok, c).otherwise(bad)
 
-    one = F.lit(1).cast("long")
-    inf = F.lit(float("inf"))
-    # Every vertex starts as a singleton (size 1, M = +inf), so the
-    # weighted table needs no join: w = raw / (1 * 1).
-    e0 = canonicalize(
+    e0 = singletons(
         edges.select(
             (checked(uc) * enc).alias("u"),
             (checked(vc) * enc).alias("v"),
             checked(wc).alias("raw"),
         )
-    ).select(
-        "u", "v", "raw", one.alias("su"), one.alias("sv"), inf.alias("mu"),
-        inf.alias("mv"), F.col("raw").alias("w"),
     )
     if collect_stats:  # a prune that keeps every edge, for its vertex count
         e0 = prune(e0, float("-inf"))

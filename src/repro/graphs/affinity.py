@@ -118,14 +118,12 @@ def best_edges(edges_w: DataFrame) -> DataFrame:
     return _marked(edges_w).select(F.col("id").alias("src"), F.col("best").alias("dst"))
 
 
-def affinity_clusters(edges_w: DataFrame, vertices: DataFrame) -> DataFrame:
-    """Plain affinity clustering. Returns ``(id, cluster)`` for every row of
-    ``vertices`` (``id``), where cluster is the min vertex id of the
-    component of marked edges; a vertex without an edge is its own."""
-    lab = _labelled(edges_w).select("id", "cluster")
-    return vertices.select("id").join(lab, "id", "left").select(
-        "id", F.coalesce("cluster", "id").alias("cluster")
-    )
+def affinity_clusters(edges_w: DataFrame) -> DataFrame:
+    """Plain affinity clustering. Returns ``(id, cluster)`` for every
+    endpoint of ``edges_w``, where cluster is the min vertex id of the
+    component of marked edges. A vertex without an edge has no row; it
+    is a cluster of its own."""
+    return _labelled(edges_w).select("id", "cluster")
 
 
 def size_constrained_affinity(edges_w: DataFrame, max_load: int) -> DataFrame:

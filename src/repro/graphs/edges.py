@@ -1,4 +1,5 @@
-"""Canonical undirected edge tables and the DataFrame primitives TeraHAC needs.
+"""Canonical undirected edge tables and the DataFrame primitives of the
+Spark engines.
 
 Representation (used by every algorithm in this repo):
 
@@ -7,20 +8,20 @@ Representation (used by every algorithm in this repo):
   point-pair similarities* between the two clusters, i.e. the
   average-linkage weight times ``|u|*|v|``. Keeping the un-normalized sum
   makes graph contraction an exact, associative group-by SUM.
-* ``vertices``: DataFrame ``(id: long, size: long, m: double)`` where ``m``
-  is the min-merge similarity M(v) of Definition 2 (+inf for singletons).
+* the weighted table ``(u, v, raw, su, sv, mu, mv, w)``: each edge with
+  the size and min-merge similarity M (Definition 2) of both endpoints
+  and the displayed average-linkage weight ``w = raw / (su * sv)``.
+  There is no vertex table: a round needs only the endpoints of edges.
 
-The displayed average-linkage weight is ``w = raw / (size_u * size_v)``.
-
-TeraHAC's round tail is :func:`contract_reweight` followed by
-:func:`prune`: two joins, a group-by, a window and a regroup from the
-kernel's mapping to the next barrier, with no vertex table. SCC keeps
-:func:`contract` (a partial mapping) and :func:`with_weights`. Nothing
-here runs a Spark action except :func:`good_edge_count`.
+Round 0 is :func:`singletons`. Every later round of TeraHAC and SCC
+comes from :func:`contract_reweight` (TeraHAC then applies
+:func:`prune`): two joins, a group-by and, for pruning, a window and a
+regroup from the round's mapping to the next barrier. Nothing here runs
+a Spark action except :func:`good_edge_count`.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, SparkSession, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 
@@ -35,23 +36,16 @@ def canonicalize(edges: DataFrame) -> DataFrame:
     return e.groupBy("u", "v").agg(F.sum("raw").alias("raw"))
 
 
-def with_weights(edges: DataFrame, vertices: DataFrame) -> DataFrame:
-    """Attach endpoint metadata and the normalized average-linkage weight.
-
-    Output: ``(u, v, raw, su, sv, mu, mv, w)`` where
-    ``w = raw / (su * sv)``.
-    """
-    vu = vertices.select(
-        F.col("id").alias("u"), F.col("size").alias("su"), F.col("m").alias("mu")
-    )
-    vv = vertices.select(
-        F.col("id").alias("v"), F.col("size").alias("sv"), F.col("m").alias("mv")
-    )
-    return (
-        edges.join(vu, "u")
-        .join(vv, "v")
-        .withColumn("w", F.col("raw") / (F.col("su") * F.col("sv")))
-        .select("u", "v", "raw", "su", "sv", "mu", "mv", "w")
+def singletons(edges: DataFrame) -> DataFrame:
+    """Round-0 weighted table of ``(u, v, raw)`` in any orientation: the
+    edges canonicalized, every vertex a singleton (size 1, M = +inf), so
+    ``w = raw`` with no join. Output: the columns of
+    :func:`contract_reweight`."""
+    one = F.lit(1).cast("long")
+    inf = F.lit(float("inf"))
+    return canonicalize(edges).select(
+        "u", "v", "raw", one.alias("su"), one.alias("sv"), inf.alias("mu"),
+        inf.alias("mv"), F.col("raw").alias("w"),
     )
 
 
@@ -80,7 +74,7 @@ def good_edge_count(edges_w: DataFrame, eps: float) -> int:
 
     An edge uv is good iff max(wmax(u), wmax(v)) / min(M(u), M(v), w(uv))
     <= 1 + eps.  This is the quantity plotted in Fig. 15 of the paper.
-    Input must come from :func:`with_weights`.
+    Input is a weighted table (:func:`singletons`, :func:`contract_reweight`).
     """
     wm = w_max_per_vertex(edges_w)
     e = (
@@ -94,37 +88,16 @@ def good_edge_count(edges_w: DataFrame, eps: float) -> int:
     return good.count()
 
 
-def contract(edges: DataFrame, mapping: DataFrame) -> DataFrame:
-    """Contract a canonical edge table under a vertex -> cluster mapping.
-
-    ``mapping`` is ``(old_id, new_id)``; vertices absent from the mapping
-    keep their id (left join + coalesce), so a partial mapping is valid.
-    Self loops created by the contraction are dropped; parallel edges are
-    summed exactly (``raw`` is a sum of point-pair similarities).
-    """
-    mu = mapping.select(F.col("old_id").alias("u"), F.col("new_id").alias("nu"))
-    mv = mapping.select(F.col("old_id").alias("v"), F.col("new_id").alias("nv"))
-    e = (
-        edges.join(mu, "u", "left")
-        .join(mv, "v", "left")
-        .select(
-            F.coalesce("nu", "u").alias("a"),
-            F.coalesce("nv", "v").alias("b"),
-            "raw",
-        )
-    )
-    return canonicalize(e.select(F.col("a").alias("u"), F.col("b").alias("v"), "raw"))
-
-
 def contract_reweight(edges_w: DataFrame, mapping: DataFrame) -> DataFrame:
     """Contract a weighted edge table and reweight it in one pass.
 
     ``mapping`` is ``(old_id, new_id, size, m)`` with a row for *every*
     endpoint of ``edges_w`` (TeraHAC's kernel maps each active vertex
-    exactly once), so two inner joins carry the new id, size and M of
-    both endpoints together. Each edge is oriented ``u < v`` with its
-    endpoint columns, self loops are dropped and parallel edges summed.
-    Output: the columns of :func:`with_weights`.
+    exactly once; SCC maps every cluster), so two inner joins carry the
+    new id, size and M of both endpoints together. Each edge is oriented
+    ``u < v`` with its endpoint columns, self loops are dropped and
+    parallel edges summed.
+    Output: the weighted table ``(u, v, raw, su, sv, mu, mv, w)``.
     """
 
     def side(old: str, new: str) -> DataFrame:
@@ -184,17 +157,4 @@ def prune(edges_w: DataFrame, threshold: float) -> DataFrame:
         .agg(F.count("*").alias("n"), F.sum("head").alias("heads"))
         .filter(F.col("n") == 2)
         .drop("n")
-    )
-
-
-def init_vertices(spark: SparkSession, edges: DataFrame) -> DataFrame:
-    """Singleton vertex table for every endpoint of ``edges``:
-    size 1, M = +inf (Definition 2)."""
-    ids = (
-        edges.select(F.col("u").alias("id"))
-        .unionByName(edges.select(F.col("v").alias("id")))
-        .distinct()
-    )
-    return ids.select(
-        "id", F.lit(1).cast("long").alias("size"), F.lit(float("inf")).alias("m")
     )

@@ -7,7 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.affinity import affinity_clusters, best_edges, size_constrained_affinity
-from repro.graphs.edges import canonicalize, init_vertices, with_weights
+from repro.graphs.edges import singletons
 from repro.graphs.io import run_dir
 from repro.oracle import assert_equivalent
 from repro.synth_data import edges_to_spark, random_weighted_graph
@@ -15,21 +15,18 @@ from tests.util import brute_components
 
 
 def _weighted(spark, edges):
-    e = canonicalize(
-        edges_to_spark(spark, edges).select("u", "v", F.col("w").alias("raw"))
-    )
-    v = init_vertices(spark, e)
-    return with_weights(e, v).select("u", "v", "w"), v
+    e = edges_to_spark(spark, edges).select("u", "v", F.col("w").alias("raw"))
+    return singletons(e).select("u", "v", "w")
 
 
 @pytest.fixture(scope="module")
 def graph(spark):
     edges = random_weighted_graph(n=70, avg_deg=5, seed=13)
-    return (edges, *_weighted(spark, edges))
+    return edges, _weighted(spark, edges)
 
 
 def test_best_edges_oracle(spark, graph):
-    _, ew, _ = graph
+    _, ew = graph
     assert_equivalent(
         best_edges(ew),
         """
@@ -49,8 +46,8 @@ def test_best_edges_oracle(spark, graph):
 
 
 def test_affinity_clusters_match_local_reference(spark, graph):
-    edges, ew, v = graph
-    got = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
+    edges, ew = graph
+    got = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
     # local reference: mark best edge per vertex, components of marked
     best = {}
     adj = {}
@@ -68,8 +65,8 @@ def test_affinity_clusters_match_local_reference(spark, graph):
 def test_affinity_each_best_edge_intra_cluster(spark, graph):
     """The paper's §5 motivation: every vertex's best edge is
     intra-cluster in (unconstrained) affinity clustering."""
-    edges, ew, v = graph
-    cl = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
+    edges, ew = graph
+    cl = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
     adj = {}
     for u, vv, w in edges:
         adj.setdefault(u, []).append((w, vv))
@@ -80,7 +77,7 @@ def test_affinity_each_best_edge_intra_cluster(spark, graph):
 
 
 def test_size_constraint_splits_big_clusters(spark, graph):
-    edges, ew, v = graph
+    edges, ew = graph
     unconstrained = size_constrained_affinity(ew, max_load=1 << 30)
     tiny = size_constrained_affinity(ew, max_load=20)
     n_unc = unconstrained.select("cluster").distinct().count()
@@ -100,9 +97,9 @@ def test_size_constraint_splits_big_clusters(spark, graph):
 
 
 def test_size_constraint_noop_below_cap(spark, graph):
-    _, ew, v = graph
+    _, ew = graph
     a = {r.id: r.cluster for r in size_constrained_affinity(ew, 1 << 30).collect()}
-    b = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
+    b = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
     assert a == b
 
 
@@ -111,8 +108,8 @@ def test_refines_affinity_partition(spark, graph):
     clusters never land in the same split cluster (part ids
     ``-(c·nparts + key mod nparts) - 1`` of two clusters can coincide,
     which would only coarsen the partition; no two do at this scale)."""
-    _, ew, v = graph
-    base = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
+    _, ew = graph
+    base = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
     split = {r.id: r.cluster for r in size_constrained_affinity(ew, 20).collect()}
     seen = {}
     for x, c in split.items():
@@ -153,10 +150,10 @@ _TIES = [(u, v, 1.0) for u, v, _ in random_weighted_graph(n=60, avg_deg=4, seed=
 @pytest.mark.parametrize("edges", [_PATH, _TIES], ids=["deep-chain", "all-ties"])
 @pytest.mark.parametrize("cap", [None, 1 << 30, 12])
 def test_affinity_labels_equal_brute_force(spark, edges, cap):
-    ew, v = _weighted(spark, edges)
+    ew = _weighted(spark, edges)
     with run_dir(spark):
         if cap is None:
-            got = {r.id: r.cluster for r in affinity_clusters(ew, v).collect()}
+            got = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
         else:
             got = {r.id: r.cluster for r in size_constrained_affinity(ew, cap).collect()}
     assert got == _reference(edges, cap)

@@ -9,13 +9,11 @@ from pyspark.sql import functions as F
 
 from repro.graphs.edges import (
     canonicalize,
-    contract,
     contract_reweight,
     degrees,
-    init_vertices,
     prune,
+    singletons,
     w_max_per_vertex,
-    with_weights,
 )
 from repro.graphs.weights import degree_log_weights
 from repro.oracle import assert_equivalent
@@ -28,9 +26,7 @@ def graph(spark):
     raw = edges_to_spark(spark, edges).select(
         "u", "v", F.col("w").alias("raw")
     )
-    e = canonicalize(raw)
-    v = init_vertices(spark, e)
-    return e, v, raw.toPandas()
+    return canonicalize(raw), singletons(raw), raw.toPandas()
 
 
 def test_canonicalize_oracle(spark, graph):
@@ -53,23 +49,8 @@ def test_canonicalize_merges_parallel_edges(spark):
     assert got == {(1, 2): 0.75, (3, 4): 1.0}
 
 
-def test_with_weights_oracle(spark, graph):
-    e, v, _ = graph
-    ew = with_weights(e, v).select("u", "v", "w")
-    assert_equivalent(
-        ew,
-        """
-        SELECT e.u, e.v, e.raw / (vu.size * vv.size) AS w
-        FROM e JOIN v vu ON e.u = vu.id JOIN v vv ON e.v = vv.id
-        """,
-        e=e,
-        v=v,
-    )
-
-
 def test_w_max_oracle(spark, graph):
-    e, v, _ = graph
-    ew = with_weights(e, v)
+    _, ew, _ = graph
     assert_equivalent(
         w_max_per_vertex(ew),
         """
@@ -94,37 +75,6 @@ def test_degrees_oracle(spark, graph):
     )
 
 
-def test_contract_oracle(spark, graph):
-    e, _, _ = graph
-    # map every vertex to id // 10 (a coarse partition)
-    ids = e.select(F.col("u").alias("old_id")).unionByName(
-        e.select(F.col("v").alias("old_id"))
-    ).distinct()
-    mapping = ids.select("old_id", (F.col("old_id") % 7).alias("new_id"))
-    got = contract(e, mapping)
-    assert_equivalent(
-        got,
-        """
-        SELECT least(u % 7, v % 7) AS u, greatest(u % 7, v % 7) AS v,
-               sum(raw) AS raw
-        FROM e WHERE (u % 7) <> (v % 7) GROUP BY 1, 2
-        """,
-        e=e,
-    )
-
-
-def test_contract_partial_mapping(spark):
-    """Vertices absent from the mapping keep their id (a partial mapping)."""
-    e = spark.createDataFrame(
-        pd.DataFrame({"u": [0, 1], "v": [1, 2], "raw": [1.0, 2.0]})
-    )
-    mapping = spark.createDataFrame(
-        pd.DataFrame({"old_id": [1], "new_id": [0]})
-    )
-    got = {(r.u, r.v): r.raw for r in contract(e, mapping).collect()}
-    assert got == {(0, 2): 2.0}  # 0-1 became a self loop and vanished
-
-
 def test_contract_reweight_prune_oracle(spark, graph):
     """TeraHAC's fused round tail (contract, reweight, prune) against
     DuckDB, under a mapping that merges each even id with the next odd
@@ -135,7 +85,7 @@ def test_contract_reweight_prune_oracle(spark, graph):
         pd.DataFrame({"u": [100, 0], "v": [101, 102], "raw": [0.9, 0.01]})
     )
     e = e.unionByName(extra)
-    ew = with_weights(e, init_vertices(spark, e))
+    ew = singletons(e)
     ids = ew.select(F.col("u").alias("old_id")).unionByName(
         ew.select(F.col("v").alias("old_id"))
     ).distinct()
@@ -203,12 +153,3 @@ def test_degree_log_weights_oracle(spark):
         """,
         e=e,
     )
-
-
-def test_init_vertices(spark, graph):
-    e, v, _ = graph
-    rows = v.collect()
-    ids = {r.id for r in rows}
-    expect = {r.u for r in e.collect()} | {r.v for r in e.collect()}
-    assert ids == expect
-    assert all(r.size == 1 and r.m == float("inf") for r in rows)

@@ -38,7 +38,7 @@ def workload(spark):
 
 def test_terahac_spark_eps0_matches_exact(spark, workload):
     edges, df = workload
-    res = terahac(spark, df, N, eps=0.0, t=0.0, shuffle_partitions=4)
+    res = terahac(spark, df, N, eps=0.0, t=0.0)
     ex = exact_hac_graph(edges, N)
     assert res.dendrogram.internal_cluster_sets() == ex.internal_cluster_sets()
     assert res.forced_merges == 0
@@ -46,16 +46,14 @@ def test_terahac_spark_eps0_matches_exact(spark, workload):
 
 def test_terahac_spark_approx_ratio(spark, workload):
     edges, df = workload
-    res = terahac(spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4)
+    res = terahac(spark, df, N, eps=0.1, t=0.0)
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
     validate_good_merges(edges, res.dendrogram, 0.1)
 
 
 def test_terahac_spark_threshold_and_stats(spark, workload):
     edges, df = workload
-    res = terahac(
-        spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4, collect_stats=True
-    )
+    res = terahac(spark, df, N, eps=0.1, t=0.3, collect_stats=True)
     # stats populated and consistent
     assert len(res.stats) == res.rounds
     assert all(st.n_good is not None and st.n_vertices > 0 for st in res.stats)
@@ -70,10 +68,7 @@ def test_terahac_spark_threshold_and_stats(spark, workload):
 def test_terahac_spark_stats_equal_local_under_cap(spark, workload):
     """Spark == local round by round also when the cap splits clusters."""
     edges, df = workload
-    sp = terahac(
-        spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4, max_subgraph_edges=40,
-        collect_stats=True,
-    )
+    sp = terahac(spark, df, N, eps=0.1, t=0.3, max_subgraph_edges=40, collect_stats=True)
     lo = terahac_local(edges, N, eps=0.1, t=0.3, max_subgraph_edges=40, collect_stats=True)
     assert sp.stats == lo.stats
 
@@ -100,9 +95,32 @@ def test_terahac_spark_round_barriers(spark, workload, monkeypatch):
                     monkeypatch.setattr(mod, attr, no_cc)
                 elif val is real_mat:
                     monkeypatch.setattr(mod, attr, recording)
-    res = terahac(spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4)
+    res = terahac(spark, df, N, eps=0.1, t=0.3)
     assert res.rounds > 0
     assert tags == ["edges"] + ["subgraphhac", "edges"] * res.rounds
+
+
+def _jobs_of(spark, monkeypatch, call):
+    """Run ``call()`` in a job group of its own. Returns its result, its
+    number of Spark jobs and every DataFrame that ``count()`` ran on."""
+    counts = []
+    cls = type(spark.range(0))  # the session's concrete DataFrame class
+    real_count = cls.count
+
+    def counting(self):
+        counts.append(self)
+        return real_count(self)
+
+    monkeypatch.setattr(cls, "count", counting)
+    sc = spark.sparkContext
+    sc.setJobGroup("job-budget", "job-budget")
+    try:
+        res = call()
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
+            sc.setLocalProperty(key, None)
+    jobs = len(sc.statusTracker().getJobIdsForGroup("job-budget"))
+    return res, jobs, counts
 
 
 def test_terahac_spark_job_budget(spark, workload, monkeypatch):
@@ -117,22 +135,10 @@ def test_terahac_spark_job_budget(spark, workload, monkeypatch):
     ``DataFrame.count`` may run at all."""
     edges, _ = workload
     df = edges_to_spark(spark, edges)  # uncached: the count cannot depend on test order
-    counts = []
-    real_count = type(df).count
-
-    def counting(self):
-        counts.append(self)
-        return real_count(self)
-
-    monkeypatch.setattr(type(df), "count", counting)
-    sc = spark.sparkContext
-    sc.setJobGroup("terahac-job-budget", "terahac-job-budget")
-    try:
-        assert terahac(spark, df, N, eps=0.1, t=0.3, shuffle_partitions=4).rounds == 3
-    finally:
-        for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
-            sc.setLocalProperty(key, None)
-    jobs = len(sc.statusTracker().getJobIdsForGroup("terahac-job-budget"))
+    res, jobs, counts = _jobs_of(
+        spark, monkeypatch, lambda: terahac(spark, df, N, eps=0.1, t=0.3)
+    )
+    assert res.rounds == 3
     assert counts == []
     assert jobs <= 80
 
@@ -173,10 +179,7 @@ def test_terahac_spark_keeps_one_round_of_barriers(spark, monkeypatch):
     monkeypatch.setattr(terahac_module, "_terahac_impl", impl)
     path = [(i, i + 1, (i + 1) / 300) for i in range(299)]
     rest = [(u + 300, v + 300, w) for u, v, w in random_weighted_graph(n=N, avg_deg=5, seed=5)]
-    res = terahac(
-        spark, edges_to_spark(spark, path + rest), 300 + N, eps=0.1, t=0.3,
-        shuffle_partitions=4,
-    )
+    res = terahac(spark, edges_to_spark(spark, path + rest), 300 + N, eps=0.1, t=0.3)
     assert res.rounds > 1 and "affinity-ptr" in tags
     assert all(len(kinds) == len(set(kinds)) for kinds in held), held
     assert held[-1] == ["edges"]
@@ -187,7 +190,7 @@ def test_terahac_spark_equals_local_flatten(spark, workload):
     clusterings at the run threshold agree exactly (ARI 1)."""
     edges, df = workload
     t = 0.2
-    sp = terahac(spark, df, N, eps=0.1, t=t, shuffle_partitions=4)
+    sp = terahac(spark, df, N, eps=0.1, t=t)
     lo = terahac_local(edges, N, eps=0.1, t=t)
     assert ari(sp.dendrogram.flatten(t), lo.dendrogram.flatten(t)) == pytest.approx(1.0)
 
@@ -196,9 +199,7 @@ def test_terahac_spark_size_constrained(spark, workload):
     """Tiny subgraph caps exercise the splitting without breaking the
     approximation guarantee (Lemma 7); every round still merges."""
     edges, df = workload
-    res = terahac(
-        spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
-    )
+    res = terahac(spark, df, N, eps=0.1, t=0.0, max_subgraph_edges=40)
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
 
 
@@ -206,9 +207,7 @@ def test_terahac_spark_equals_local_under_cap(spark, workload):
     """One split rule in both engines: under a cap that splits clusters,
     the rounds and the merge sets agree, similarities within 1e-9."""
     edges, df = workload
-    sp = terahac(
-        spark, df, N, eps=0.1, t=0.0, shuffle_partitions=4, max_subgraph_edges=40
-    )
+    sp = terahac(spark, df, N, eps=0.1, t=0.0, max_subgraph_edges=40)
     lo = terahac_local(edges, N, eps=0.1, t=0.0, max_subgraph_edges=40)
     assert sp.rounds == lo.rounds
 
@@ -240,8 +239,8 @@ def test_spark_engines_leave_no_checkpoint_dirs(spark):
 
     before = listing()
     df = edges_to_spark(spark, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
-    terahac(spark, df, 4, eps=0.1, t=0.0, shuffle_partitions=2)
-    scc_spark(spark, df, 4, rounds=2, t=0.1, shuffle_partitions=2)
+    terahac(spark, df, 4, eps=0.1, t=0.0)
+    scc_spark(spark, df, 4, rounds=2, t=0.1)
     # A 32-vertex path takes connected components past its first barrier.
     path = edges_to_spark(spark, [(i, i + 1, 1.0) for i in range(31)])
     graph_dbscan_spark(spark, path, 32, eps=0.5, min_pts=1)
@@ -253,21 +252,44 @@ def test_spark_engines_leave_no_checkpoint_dirs(spark):
 
 
 def test_scc_spark_equals_local(spark, workload):
-    edges, df = workload
-    rl = scc_local(edges, N, rounds=5, t=0.05)
-    rs = scc_spark(spark, df, N, rounds=5, t=0.05, shuffle_partitions=4)
-    assert len(rs.levels) == 5
-    for a, b in zip(rl.levels, rs.levels):
-        assert ari(a, b) == pytest.approx(1.0)
+    """Same levels and the same per-round counts, on the N-vertex
+    workload and on a path beside vertices 4..7 that have no edge (each
+    of them is a cluster of every level)."""
+    path = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)]
+    for edges, n, rounds, t in ((workload[0], N, 5, 0.05), (path, 8, 3, 0.1)):
+        rl = scc_local(edges, n, rounds=rounds, t=t)
+        rs = scc_spark(spark, edges_to_spark(spark, edges), n, rounds=rounds, t=t)
+        assert len(rs.levels) == rounds
+        for a, b in zip(rl.levels, rs.levels):
+            assert ari(a, b) == pytest.approx(1.0)
+        assert rs.n_clusters == rl.n_clusters
+        assert rs.nodes_per_round == rl.nodes_per_round
+        assert rs.edges_per_round == rl.edges_per_round
 
 
 def test_scc_spark_stats(spark, workload):
     _, df = workload
-    rs = scc_spark(
-        spark, df, N, rounds=3, t=0.05, shuffle_partitions=4, collect_stats=True
-    )
+    rs = scc_spark(spark, df, N, rounds=3, t=0.05)
     assert len(rs.nodes_per_round) == 3
     assert rs.nodes_per_round == sorted(rs.nodes_per_round, reverse=True)
+
+
+def test_scc_spark_job_budget(spark, workload, monkeypatch):
+    """Guards the per-round Spark cost of SCC, which runs on TeraHAC's
+    round shape: one weighted edge barrier and one assignment barrier a
+    round, every count observed on those writes. The budget is the count
+    of one ``scc_spark()`` call (N=120, 5 rounds, every level recorded)
+    measured on Spark 4.1 in local mode, 111 jobs warm and as a
+    session's first call, plus one job of slack (198 with a vertex
+    barrier and count actions). No ``DataFrame.count`` may run."""
+    edges, _ = workload
+    df = edges_to_spark(spark, edges)  # uncached: the count cannot depend on test order
+    res, jobs, counts = _jobs_of(
+        spark, monkeypatch, lambda: scc_spark(spark, df, N, rounds=5, t=0.05)
+    )
+    assert len(res.levels) == 5
+    assert counts == []
+    assert jobs <= 112, jobs
 
 
 @pytest.mark.parametrize("eps,min_pts", [(0.5, 3), (0.8, 2)])
@@ -284,6 +306,6 @@ def test_terahac_spark_webquery_quality(spark):
     n = 800
     edges, truth, pairs = web_query_lite(n=n, seed=9, n_label_pairs=400)
     df = edges_to_spark(spark, edges)
-    res = terahac(spark, df, n, eps=0.1, t=0.05, shuffle_partitions=4)
+    res = terahac(spark, df, n, eps=0.1, t=0.05)
     best = max(ari(truth, res.dendrogram.flatten(ft)) for ft in (0.5, 0.4, 0.3))
     assert best > 0.8
