@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 from repro.core import localgraph
 from repro.core.goodness import encode_leaf
 from repro.graphs.affinity import affinity_clusters
-from repro.graphs.edges import contract_reweight, singletons
+from repro.graphs.edges import checked, contract_reweight, singletons
 from repro.graphs.io import engine_run, materialize, release
 
 
@@ -122,7 +122,9 @@ def scc_spark(
     observed on the writes, so per-round stats (Fig. 14 analogue) cost
     no job. When ``record_levels`` is False only the final level is
     collected (pure-timing mode). The run's parquet barriers are removed
-    when it returns or raises.
+    when it returns or raises. An id outside ``0..n_base-1`` or a weight
+    that is not positive and finite fails the first Spark job with an
+    error that names the edge (``scc_local`` raises ``ValueError``).
     """
     with engine_run(spark):
         return _scc_spark_impl(edges, n_base, rounds, t, record_levels)
@@ -138,7 +140,7 @@ def _scc_spark_impl(
     edges: DataFrame, n_base: int, rounds: int, t: float, record_levels: bool
 ) -> SCCResult:
     e, counts = _barrier(
-        singletons(edges.select("u", "v", F.col("w").alias("raw"))),
+        singletons(checked(edges, n_base)),
         "scc-edges",
         edges=F.count("*"),
         w_upper=F.max("w"),

@@ -74,31 +74,37 @@ def subgraph_hac(
     active_v)`` — every edge of G^C exactly once (any orientation). ``raw``
     is the un-normalized average-linkage weight ``w * size_u * size_v``.
     Inactive-inactive edges must not appear (they are not part of G^C).
+    Fields are used as given, without conversion: both engines pass
+    Python ints and floats (the Spark engine builds its rows with
+    ``tolist()``).
     """
     size: dict[int, int] = {}
     m: dict[int, float] = {}
     active: set[int] = set()
     adj: dict[int, dict[int, float]] = {}
 
+    # Adjacency is kept for active endpoints only; inactive vertices never
+    # merge, so their w_max is never needed (Definition 2 uses the w_max
+    # of the two *merging* vertices, which are both active).
     for u, v, raw, su, sv, mu, mv, au, av in edge_rows:
         if not (au or av):
             raise ValueError(f"inactive-inactive edge ({u},{v}) is not part of G^C")
-        size[u], size[v] = int(su), int(sv)
-        m[u], m[v] = float(mu), float(mv)
+        size[u] = su
+        size[v] = sv
+        m[u] = mu
+        m[v] = mv
         if au:
             active.add(u)
+            row = adj.get(u)
+            if row is None:
+                adj[u] = row = {}
+            row[v] = row.get(v, 0.0) + raw
         if av:
             active.add(v)
-        # Adjacency is kept for active endpoints only; inactive vertices
-        # never merge, so their w_max is never needed (Definition 2 uses
-        # the w_max of the two *merging* vertices, which are both active).
-        if au:
-            adj.setdefault(u, {})[v] = adj.setdefault(u, {}).get(v, 0.0) + float(raw)
-        if av:
-            adj.setdefault(v, {})[u] = adj.setdefault(v, {}).get(u, 0.0) + float(raw)
-
-    for a in active:
-        adj.setdefault(a, {})
+            row = adj.get(v)
+            if row is None:
+                adj[v] = row = {}
+            row[u] = row.get(u, 0.0) + raw
 
     input_active = set(active)
     parent: dict[int, int] = {}

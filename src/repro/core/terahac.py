@@ -43,7 +43,7 @@ from repro.core.dendrogram import Dendrogram
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 from repro.graphs.affinity import size_constrained_affinity
-from repro.graphs.edges import contract_reweight, good_edge_count, prune, singletons
+from repro.graphs.edges import checked, contract_reweight, good_edge_count, prune, singletons
 from repro.graphs.io import engine_run, materialize, release
 
 _RESULT_SCHEMA = (
@@ -135,22 +135,9 @@ def _terahac_impl(
     collect_stats: bool,
 ) -> TeraHACResult:
     enc = n_base + 1
-    uc, vc, wc = F.col("u").cast("long"), F.col("v").cast("long"), F.col("w").cast("double")
-    # Checked inside the first write's job: no extra Spark job.
-    ok = uc.between(0, n_base - 1) & vc.between(0, n_base - 1) & (wc > 0) & (wc < float("inf"))
-    bad = F.raise_error(F.format_string(
-        f"edge (%s, %s, %s): vertex id outside [0, {n_base}) or weight not positive and finite",
-        uc, vc, wc,
-    ))
-
-    def checked(c):
-        return F.when(ok, c).otherwise(bad)
-
     e0 = singletons(
-        edges.select(
-            (checked(uc) * enc).alias("u"),
-            (checked(vc) * enc).alias("v"),
-            checked(wc).alias("raw"),
+        checked(edges, n_base).select(
+            (F.col("u") * enc).alias("u"), (F.col("v") * enc).alias("v"), "raw"
         )
     )
     if collect_stats:  # a prune that keeps every edge, for its vertex count

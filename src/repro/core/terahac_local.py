@@ -11,6 +11,12 @@ mutual-best-pair key), which the test suite exploits to check engine
 equivalence, with and without a cap. Used for the Table 2 quality grid
 and the round-count studies, where a 1.8k-vertex graph through 100 Spark
 rounds would only measure scheduler latency.
+
+Outside the kernel and the contraction, a round reads the graph once:
+:func:`_scan`, run after ``build`` and after each contraction, yields
+every vertex's best neighbour and ``w_max`` and the heavy-edge and edge
+counts, and pruning, the partition, the loop condition and the round's
+stats all read it (its docstring says why pruning leaves it exact).
 """
 from __future__ import annotations
 
@@ -23,26 +29,61 @@ from repro.core.subgraph_hac import Merge, subgraph_hac
 INF = float("inf")
 
 
+def _scan(
+    adj: dict[int, dict[int, float]], size: dict[int, int], t: float
+) -> tuple[dict[int, int], dict[int, float], int, int]:
+    """One pass over every vertex's row: ``(best, w_max, heavy, edges)``.
+
+    ``best[a]`` is ``a``'s neighbour of max ``(w, id)`` and ``w_max[a]``
+    its weight (0.0 for an empty row, which has no ``best``); ``heavy``
+    counts the edges with ``w >= t`` and ``edges`` all edges. Both
+    orientations of an edge hold the same raw weight bit for bit
+    (:mod:`repro.core.localgraph`'s ``build`` and ``contract``), so each
+    is counted as half of its two directed rows.
+
+    Pruning the vertices with ``w_max < t/(1+eps)`` leaves the scan exact
+    for the survivors. If ``best(b) = a`` and ``a`` is pruned, then
+    ``w_max(b) = w(a, b) <= w_max(a) < t/(1+eps)``, so ``b`` is pruned
+    too: a survivor's best neighbour, and with it its ``w_max``, survives.
+    An edge with ``w >= t`` keeps both endpoints, so ``heavy`` is the
+    same after pruning; ``edges`` loses the pruned rows' edges.
+    """
+    best: dict[int, int] = {}
+    w_max: dict[int, float] = {}
+    heavy = directed = 0
+    for a, nb in adj.items():
+        sa = size[a]
+        top, at = 0.0, -1
+        for b, raw in nb.items():
+            w = raw / (sa * size[b])
+            if w >= t:
+                heavy += 1
+            if w > top or (w == top and b > at):
+                top, at = w, b
+        w_max[a] = top
+        if nb:
+            best[a] = at
+        directed += len(nb)
+    return best, w_max, heavy // 2, directed // 2
+
+
 def _affinity_partition(
     adj: dict[int, dict[int, float]],
-    size: dict[int, int],
+    best: dict[int, int],
     max_subgraph_edges: int,
 ) -> dict[int, int]:
     """Size-constrained affinity clustering on the local graph.
 
     Returns vertex -> cluster id by the rule of
     :func:`repro.graphs.affinity.size_constrained_affinity`: per-vertex
-    best edge by max (w, neighbour-id), components by min id, and a
-    cluster whose shipped load (sum of member degrees) exceeds the cap
-    split by a key that keeps every mutual-best pair in one part.
+    best edge by max (w, neighbour-id) (``best``, from :func:`_scan`),
+    components by min id, and a cluster whose shipped load (sum of member
+    degrees) exceeds the cap split by a key that keeps every mutual-best
+    pair in one part.
     """
-    best: dict[int, int] = {}
     dsu = DSU()
-    for u, nb in adj.items():
-        if nb:
-            su = size[u]
-            best[u] = max(nb, key=lambda b: (nb[b] / (su * size[b]), b))
-            dsu.union(u, best[u])
+    for u, b in best.items():
+        dsu.union(u, b)
     comp = {u: dsu.find(u) for u in adj}
     load: dict[int, int] = {}
     for u in adj:
@@ -83,36 +124,31 @@ def terahac_local(
     """
     adj, size = build(edges, n_base)
     m = dict.fromkeys(adj, INF)
+    best, w_max, heavy, n_edges = _scan(adj, size, t)
 
     merges: list[Merge] = []
     stats: list[RoundStats] = []
     prune_at = t / (1.0 + eps)
 
-    def wfn(a: int, b: int) -> float:
-        return adj[a][b] / (size[a] * size[b])
-
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        n_edges = sum(len(nb) for nb in adj.values()) // 2
-        heavy = sum(
-            1 for a in adj for b in adj[a] if a < b and wfn(a, b) >= t
-        )
         if heavy == 0:
             rounds -= 1
             break
 
         n_good = None
         if collect_stats:
-            wmax = {a: max((wfn(a, b) for b in adj[a]), default=0.0) for a in adj}
             n_good = sum(
                 1
-                for a in adj
-                for b in adj[a]
+                for a, nb in adj.items()
+                for b, raw in nb.items()
                 if a < b
-                and goodness(wmax[a], wmax[b], m[a], m[b], wfn(a, b)) <= 1 + eps
+                and goodness(
+                    w_max[a], w_max[b], m[a], m[b], raw / (size[a] * size[b])
+                ) <= 1 + eps
             )
 
-        clusters = _affinity_partition(adj, size, max_subgraph_edges)
+        clusters = _affinity_partition(adj, best, max_subgraph_edges)
         groups: dict[int, list] = {}
         for a in adj:
             for b, raw in adj[a].items():
@@ -153,18 +189,16 @@ def terahac_local(
             size[new] = s
             m[new] = mm
         adj = contract(adj, {old: new for old, (new, _, _) in mapping.items()})
+        best, w_max, heavy, n_edges = _scan(adj, size, t)
 
-        # --- vertex pruning + isolated removal ---
-        drop = [
-            a
-            for a in adj
-            if not adj[a]
-            or max(wfn(a, b) for b in adj[a]) < prune_at
-        ]
+        # --- vertex pruning + isolated removal (exact: see _scan) ---
+        drop = [a for a in adj if not adj[a] or w_max[a] < prune_at]
         for a in drop:
-            for b in adj[a]:
+            row = adj.pop(a)
+            n_edges -= len(row)
+            best.pop(a, None)
+            for b in row:
                 del adj[b][a]
-            del adj[a]
     else:
         last = stats[-1] if stats else None
         raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds; last round: {last}")

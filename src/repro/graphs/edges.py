@@ -13,11 +13,12 @@ Representation (used by every algorithm in this repo):
   and the displayed average-linkage weight ``w = raw / (su * sv)``.
   There is no vertex table: a round needs only the endpoints of edges.
 
-Round 0 is :func:`singletons`. Every later round of TeraHAC and SCC
-comes from :func:`contract_reweight` (TeraHAC then applies
-:func:`prune`): two joins, a group-by and, for pruning, a window and a
-regroup from the round's mapping to the next barrier. Nothing here runs
-a Spark action except :func:`good_edge_count`.
+Round 0 is :func:`singletons` of the input as :func:`checked` reads it.
+Every later round of TeraHAC and SCC comes from
+:func:`contract_reweight` (TeraHAC then applies :func:`prune`): two
+joins, a group-by and, for pruning, a window and a regroup from the
+round's mapping to the next barrier. Nothing here runs a Spark action
+except :func:`good_edge_count`.
 """
 from __future__ import annotations
 
@@ -34,6 +35,24 @@ def canonicalize(edges: DataFrame) -> DataFrame:
         F.col("raw"),
     )
     return e.groupBy("u", "v").agg(F.sum("raw").alias("raw"))
+
+
+def checked(edges: DataFrame, n_base: int) -> DataFrame:
+    """Input edges ``(u, v, w)`` over ``0..n_base-1`` as ``(u: long, v:
+    long, raw: double)``, each row checked inside the job that reads it:
+    an id outside ``[0, n_base)`` or a weight that is not positive and
+    finite fails that job with an error naming the edge, so the check
+    adds no Spark job. The local engines reject the same edges
+    (:func:`repro.core.localgraph.build`)."""
+    u, v, w = F.col("u").cast("long"), F.col("v").cast("long"), F.col("w").cast("double")
+    ok = u.between(0, n_base - 1) & v.between(0, n_base - 1) & (w > 0) & (w < float("inf"))
+    bad = F.raise_error(F.format_string(
+        f"edge (%s, %s, %s): vertex id outside [0, {n_base}) or weight not positive and finite",
+        u, v, w,
+    ))
+    return edges.select(
+        *(F.when(ok, c).otherwise(bad).alias(name) for name, c in (("u", u), ("v", v), ("raw", w)))
+    )
 
 
 def singletons(edges: DataFrame) -> DataFrame:

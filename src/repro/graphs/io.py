@@ -32,7 +32,8 @@ from pyspark.sql import DataFrame, SparkSession
 
 # Iterative graph rounds on one box are scheduler-latency-bound, so the
 # round engines shuffle into few partitions (4 and 8 cost the same jobs
-# on a 120-vertex graph: 78 a TeraHAC call, 111 a 5-round SCC call).
+# on a 120-vertex graph: 78 a TeraHAC call, 111 a 5-round SCC call, when
+# a barrier's read-back still inferred its schema).
 SHUFFLE_PARTITIONS = 8
 
 _counter = itertools.count()
@@ -95,7 +96,8 @@ def materialize(df: DataFrame, tag: str = "step") -> DataFrame:
     spark = df.sparkSession
     path = os.path.join(_open[-1] if _open else _ckpt_root(spark), f"{tag}-{next(_counter)}")
     df.write.mode("overwrite").parquet(path)
-    return spark.read.parquet(path)
+    # With the schema given, the read runs no schema-inference job.
+    return spark.read.schema(df.schema).parquet(path)
 
 
 def release(*dfs: DataFrame) -> None:

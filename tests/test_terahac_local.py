@@ -128,25 +128,36 @@ def test_size_constrained_partitions_still_correct(cap):
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, eps):
     """The split never separates a mutual-best pair, so every round
-    merges with no forced merge, and eps=0 still gives exact HAC."""
+    merges with no forced merge, and eps=0 still gives exact HAC. The
+    best-edge map the partition receives is the brute-force one, also
+    after pruning (t > 0) has dropped vertices."""
     n = 60
     edges = random_weighted_graph(n=n, avg_deg=4, seed=seed)
-    partition = engine._affinity_partition
+    partition, build = engine._affinity_partition, engine.build
+    sizes = []  # the engine's cluster-size dict, updated in place each round
     splits = []
 
-    def checked(adj, size, max_subgraph_edges):
-        out = partition(adj, size, max_subgraph_edges)
+    def capturing_build(edges, n_base):
+        adj, size = build(edges, n_base)
+        sizes.append(size)
+        return adj, size
+
+    def checked(adj, best_in, max_subgraph_edges):
+        out = partition(adj, best_in, max_subgraph_edges)
+        size = sizes[-1]
         best = {
             u: max(nb, key=lambda b: (nb[b] / (size[u] * size[b]), b))
             for u, nb in adj.items()
             if nb
         }
+        assert best_in == best
         for u, b in best.items():
             if best[b] == u:
                 assert out[u] == out[b], f"mutual-best pair ({u}, {b}) split apart"
         splits.append(any(c < 0 for c in out.values()))
         return out
 
+    monkeypatch.setattr(engine, "build", capturing_build)
     monkeypatch.setattr(engine, "_affinity_partition", checked)
     res = terahac_local(edges, n, eps=eps, t=0.0, max_subgraph_edges=cap)
     assert any(splits), "the cap never split a cluster"
@@ -155,6 +166,7 @@ def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, 
     if eps == 0.0:
         ex = exact_hac_graph(edges, n)
         assert res.dendrogram.internal_cluster_sets() == ex.internal_cluster_sets()
+    terahac_local(edges, n, eps=eps, t=0.1, max_subgraph_edges=cap)
 
 
 def test_max_rounds_error_reports_last_round():
@@ -188,6 +200,20 @@ def test_threshold_stops_early():
     assert part.rounds <= full.rounds
 
 
+def test_threshold_is_inclusive_after_contraction():
+    """An edge of weight exactly ``t`` is heavy, and a vertex whose
+    ``w_max`` is exactly ``t/(1+eps)`` is not pruned. Round 1 merges the
+    mutual-best pairs {0, 1} and {2, 3}, which lie in two affinity
+    clusters; contraction leaves one edge of weight 4 * 0.5 / (2 * 2) =
+    0.5 = t between them, so both survive the prune and merge in round 2."""
+    edges = [(0, 1, 1.0), (2, 3, 0.6), (0, 2, 0.5), (1, 2, 0.5), (0, 3, 0.5), (1, 3, 0.5)]
+    res = terahac_local(edges, 4, eps=0.0, t=0.5, collect_stats=True)
+    assert res.rounds == 2
+    assert sorted(mg.similarity for mg in res.dendrogram.merges) == [0.5, 0.6, 1.0]
+    counts = [(st.n_vertices, st.n_edges, st.n_heavy) for st in res.stats]
+    assert counts == [(4, 6, 6), (2, 1, 1)]
+
+
 def test_deterministic():
     n = 60
     edges = random_weighted_graph(n=n, avg_deg=5, seed=9)
@@ -214,5 +240,36 @@ def test_rmat_merges_bit_identical_to_golden(cap, digest):
         res = terahac_local(edges, 1 << 8, eps=0.1, t=0.01, max_subgraph_edges=cap)
         for mg in res.dendrogram.merges:
             h.update(f"{mg.parent},{mg.left},{mg.right},{mg.similarity.hex()};".encode())
+        h.update(f"rounds={res.rounds};".encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "t,cap,digest",
+    [
+        (0.01, 1 << 30, "2bd0b3b984aa10691c137ab37980edbc4f125106685ea3713025e21a0e5d1f9a"),
+        (0.01, 500, "38ec281d91fc15bf4ea3b30dd1095122bc14f4f7ad607c8cd17e8b8ec9669900"),
+        (0.05, 1 << 30, "27d3b2c03ab2cc948bd869ff5c58bf294c7deb7c36af1bfbcb79392278515c60"),
+        (0.05, 500, "1f031971f203e4c793371f0401c42f59cf66550d20f8de58d40ce5f168664fbd"),
+    ],
+)
+def test_rmat_round_stats_equal_golden(t, cap, digest):
+    """Every ``RoundStats`` field (vertices, edges, heavy and good edges,
+    merges) and the round count on the four rMAT-8 graphs are pinned by a
+    digest taken when each count had a walk of its own over the graph.
+    At t=0.05 rounds drop about 80 vertices over the four graphs besides
+    those merged (3 to 7 at t=0.01), so the counts after pruning are
+    covered too."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        edges = degree_weights_local(rmat_edges(scale=8, seed=seed))
+        res = terahac_local(
+            edges, 1 << 8, eps=0.1, t=t, max_subgraph_edges=cap, collect_stats=True
+        )
+        for st in res.stats:
+            h.update(
+                f"{st.round},{st.n_vertices},{st.n_edges},{st.n_heavy},"
+                f"{st.n_merges},{st.n_good};".encode()
+            )
         h.update(f"rounds={res.rounds};".encode())
     assert h.hexdigest() == digest
