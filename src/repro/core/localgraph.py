@@ -112,10 +112,11 @@ def contract(adj: Adj, relabel: dict[int, int]) -> Adj:
     for a, nb in adj.items():
         na = relabel.get(a, a)
         for b, raw in nb.items():
-            nb_ = relabel.get(b, b)
-            if a < b and na != nb_:
-                lo, hi = (na, nb_) if na < nb_ else (nb_, na)
-                out[lo][hi] = out[lo].get(hi, 0.0) + raw
+            if a < b:
+                nb_ = relabel.get(b, b)
+                if na != nb_:
+                    lo, hi = (na, nb_) if na < nb_ else (nb_, na)
+                    out[lo][hi] = out[lo].get(hi, 0.0) + raw
     for a, row in out.items():
         for b in [b for b in row if b > a]:
             out[b][a] = row[b]

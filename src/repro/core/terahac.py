@@ -30,8 +30,9 @@ Counts are read off writes the round does anyway, through
 write yields the heavy-edge count (the loop condition) and, for
 ``collect_stats``, the edge and vertex counts; the kernel barrier's
 write yields the round's merges, the only rows the driver receives (the
-graph never leaves the cluster). ``collect_stats`` adds one action a
-round, the good-edge count.
+graph never leaves the cluster). The good-edge count of ``collect_stats``
+is observed on the edge barrier's write too, from the endpoints'
+``w_max`` that pruning computes anyway, so it adds no Spark job.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from repro.core.dendrogram import Dendrogram
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 from repro.graphs.affinity import size_constrained_affinity
-from repro.graphs.edges import checked, contract_reweight, good_edge_count, prune, singletons
+from repro.graphs.edges import checked, contract_reweight, prune, singletons
 from repro.graphs.io import engine_run, materialize, release
 
 _RESULT_SCHEMA = (
@@ -78,15 +79,22 @@ def _make_subgraph_fn(eps: float, n_base: int):
     return fn
 
 
-def _edge_barrier(edges_w: DataFrame, t: float) -> tuple[DataFrame, dict[str, int]]:
+def _edge_barrier(
+    edges_w: DataFrame, t: float, eps: float
+) -> tuple[DataFrame, dict[str, int]]:
     """Write the round barrier and read its counts off the write: edges,
     heavy edges (``w >= t``) and, if ``edges_w`` comes from
-    :func:`repro.graphs.edges.prune`, vertices. No extra Spark job."""
+    :func:`repro.graphs.edges.prune`, vertices and `(1+eps)`-good edges
+    (Definition 2; Fig. 15). No extra Spark job."""
     obs = Observation()
     aggs = [F.count("*").alias("edges"), F.count(F.when(F.col("w") >= t, 1)).alias("heavy")]
     if "heads" in edges_w.columns:
-        aggs.append(F.coalesce(F.sum("heads"), F.lit(0)).alias("vertices"))
-    e = materialize(edges_w.observe(obs, *aggs).drop("heads"), "edges")
+        good = F.greatest("wmu", "wmv") <= (1.0 + eps) * F.least("mu", "mv", "w")
+        aggs += [
+            F.coalesce(F.sum("heads"), F.lit(0)).alias("vertices"),
+            F.count(F.when(good, 1)).alias("good"),
+        ]
+    e = materialize(edges_w.observe(obs, *aggs).drop("heads", "wmu", "wmv"), "edges")
     return e, obs.get
 
 
@@ -140,9 +148,9 @@ def _terahac_impl(
             (F.col("u") * enc).alias("u"), (F.col("v") * enc).alias("v"), "raw"
         )
     )
-    if collect_stats:  # a prune that keeps every edge, for its vertex count
+    if collect_stats:  # a prune that keeps every edge, for its counts
         e0 = prune(e0, float("-inf"))
-    e, counts = _edge_barrier(e0, t)
+    e, counts = _edge_barrier(e0, t, eps)
 
     fn = _make_subgraph_fn(eps, n_base)
     merges: list[Merge] = []
@@ -154,8 +162,6 @@ def _terahac_impl(
         if counts["heavy"] == 0:
             rounds -= 1
             break
-        n_good = good_edge_count(e, eps) if collect_stats else None
-
         clusters = size_constrained_affinity(e.select("u", "v", "w"), max_subgraph_edges)
         cu = clusters.select(F.col("id").alias("u"), F.col("cluster").alias("cu"))
         cv = clusters.select(F.col("id").alias("v"), F.col("cluster").alias("cv"))
@@ -193,7 +199,7 @@ def _terahac_impl(
                 n_edges=counts["edges"] if collect_stats else -1,
                 n_heavy=counts["heavy"],
                 n_merges=len(round_merges),
-                n_good=n_good,
+                n_good=counts["good"] if collect_stats else None,
             )
         )
 
@@ -204,7 +210,7 @@ def _terahac_impl(
             F.col("val1").alias("m"),
         )
         prev = e
-        e, counts = _edge_barrier(prune(contract_reweight(e, mapping), prune_at), t)
+        e, counts = _edge_barrier(prune(contract_reweight(e, mapping), prune_at), t, eps)
         # Nothing reads the last round's barriers any more.
         release(prev, result)
     else:

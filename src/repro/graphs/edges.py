@@ -17,8 +17,7 @@ Round 0 is :func:`singletons` of the input as :func:`checked` reads it.
 Every later round of TeraHAC and SCC comes from
 :func:`contract_reweight` (TeraHAC then applies :func:`prune`): two
 joins, a group-by and, for pruning, a window and a regroup from the
-round's mapping to the next barrier. Nothing here runs a Spark action
-except :func:`good_edge_count`.
+round's mapping to the next barrier. Nothing here runs a Spark action.
 """
 from __future__ import annotations
 
@@ -68,43 +67,12 @@ def singletons(edges: DataFrame) -> DataFrame:
     )
 
 
-def w_max_per_vertex(edges_w: DataFrame) -> DataFrame:
-    """Per-vertex maximum incident normalized weight.
-
-    Input must have columns ``u, v, w`` (canonical). Output: ``(id, wmax)``.
-    Vertices with no incident edges do not appear.
-    """
-    both = edges_w.select(F.col("u").alias("id"), "w").unionByName(
-        edges_w.select(F.col("v").alias("id"), "w")
-    )
-    return both.groupBy("id").agg(F.max("w").alias("wmax"))
-
-
 def degrees(edges: DataFrame) -> DataFrame:
     """Per-vertex degree of a canonical edge table. Output ``(id, deg)``."""
     both = edges.select(F.col("u").alias("id")).unionByName(
         edges.select(F.col("v").alias("id"))
     )
     return both.groupBy("id").agg(F.count("*").alias("deg"))
-
-
-def good_edge_count(edges_w: DataFrame, eps: float) -> int:
-    """Number of `(1+eps)`-good edges in the *global* graph (Definition 2).
-
-    An edge uv is good iff max(wmax(u), wmax(v)) / min(M(u), M(v), w(uv))
-    <= 1 + eps.  This is the quantity plotted in Fig. 15 of the paper.
-    Input is a weighted table (:func:`singletons`, :func:`contract_reweight`).
-    """
-    wm = w_max_per_vertex(edges_w)
-    e = (
-        edges_w.join(wm.withColumnRenamed("id", "u").withColumnRenamed("wmax", "wmu"), "u")
-        .join(wm.withColumnRenamed("id", "v").withColumnRenamed("wmax", "wmv"), "v")
-    )
-    good = e.filter(
-        F.greatest("wmu", "wmv")
-        <= (1.0 + eps) * F.least("mu", "mv", "w")
-    )
-    return good.count()
 
 
 def contract_reweight(edges_w: DataFrame, mapping: DataFrame) -> DataFrame:
@@ -159,21 +127,28 @@ def prune(edges_w: DataFrame, threshold: float) -> DataFrame:
     heaviest row of its partition reaches ``threshold``, and regrouping
     keeps an edge iff both of its rows survive. Vertices left without an
     edge vanish with it. Output: the columns of ``edges_w`` plus
-    ``heads``, the number of endpoints whose heaviest row is this edge's.
-    A surviving vertex's heaviest edge survives too, so ``sum(heads)``
-    counts the surviving vertices.
+    ``heads``, the number of endpoints whose heaviest row is this edge's,
+    and ``wmu``, ``wmv``, the heaviest weight at ``u`` and at ``v``. A
+    surviving vertex's heaviest edge survives too, so ``sum(heads)``
+    counts the surviving vertices and ``wmu``, ``wmv`` are still the
+    endpoints' ``w_max`` after pruning.
     """
     cols = edges_w.columns
     by_x = Window.partitionBy("x").orderBy(F.desc("w"))
     rows = edges_w.select(F.explode(F.array("u", "v")).alias("x"), *cols).select(
         *cols,
-        (F.first("w").over(by_x) >= threshold).alias("keep"),
+        "x",
+        F.first("w").over(by_x).alias("wm"),
         (F.row_number().over(by_x) == 1).cast("long").alias("head"),
     )
+
+    def at(end: str) -> Column:
+        return F.max(F.when(F.col("x") == F.col(end), F.col("wm"))).alias("wm" + end)
+
     return (
-        rows.filter("keep")
+        rows.filter(F.col("wm") >= threshold)
         .groupBy(*cols)
-        .agg(F.count("*").alias("n"), F.sum("head").alias("heads"))
+        .agg(F.count("*").alias("n"), F.sum("head").alias("heads"), at("u"), at("v"))
         .filter(F.col("n") == 2)
         .drop("n")
     )

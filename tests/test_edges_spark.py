@@ -13,7 +13,6 @@ from repro.graphs.edges import (
     degrees,
     prune,
     singletons,
-    w_max_per_vertex,
 )
 from repro.graphs.weights import degree_log_weights
 from repro.oracle import assert_equivalent
@@ -47,20 +46,6 @@ def test_canonicalize_merges_parallel_edges(spark):
     )
     got = {(r.u, r.v): r.raw for r in canonicalize(df).collect()}
     assert got == {(1, 2): 0.75, (3, 4): 1.0}
-
-
-def test_w_max_oracle(spark, graph):
-    _, ew, _ = graph
-    assert_equivalent(
-        w_max_per_vertex(ew),
-        """
-        WITH sym AS (
-          SELECT u AS id, w FROM ew UNION ALL SELECT v AS id, w FROM ew
-        )
-        SELECT id, max(w) AS wmax FROM sym GROUP BY id
-        """,
-        ew=ew.select("u", "v", "w"),
-    )
 
 
 def test_degrees_oracle(spark, graph):
@@ -119,7 +104,8 @@ def test_contract_reweight_prune_oracle(spark, graph):
             SELECT u AS id, w FROM gw UNION ALL SELECT v AS id, w FROM gw
           ) GROUP BY id
         )
-        SELECT gw.*, (a.wmax = gw.w)::BIGINT + (b.wmax = gw.w)::BIGINT AS heads
+        SELECT gw.*, (a.wmax = gw.w)::BIGINT + (b.wmax = gw.w)::BIGINT AS heads,
+               a.wmax AS wmu, b.wmax AS wmv
         FROM gw JOIN wm a ON gw.u = a.id JOIN wm b ON gw.v = b.id
         WHERE a.wmax >= {threshold} AND b.wmax >= {threshold}
         """,

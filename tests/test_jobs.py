@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jobs.fig2_rounds import good_edges_table, rounds_table
+from jobs.fig9_scaling import scaling_rows
 from jobs.table1_graph_stats import table1_rows
 from jobs.table2_quality import TERAHAC_SETTINGS, evaluate_dataset
 from jobs.table3_webquery import run_webquery
@@ -14,7 +15,7 @@ from repro.synth_data import random_weighted_graph
 def test_table1_rows():
     rows = table1_rows(rmat_scales=(7,), wq_n=1000)
     names = [r["name"] for r in rows]
-    assert names[0] == "rMAT-7"
+    assert len(rows) == 6 and names[0] == "rMAT-7"
     assert any("web-query" in n for n in names)
     assert {r["name"].split("-knn")[0] for r in rows[2:]} == {
         "iris", "wine", "digits", "faces"
@@ -57,10 +58,17 @@ def test_table3_job_tiny(spark):
         spark, n=500, scc_high=4, scc_low=2, collect_stats=False, seed=3
     )
     assert out["terahac_s"] > 0 and out["scc_high_s"] > 0
-    assert out["terahac_rounds"] >= 1
+    assert 1 <= out["terahac_rounds"] <= 17  # the paper's max over all datasets
     # PR entries well-formed
     for _, pr in out["terahac_pr"]:
         assert 0 <= pr.precision <= 1 and 0 <= pr.recall <= 1
     # at a high flatten threshold precision should be near-perfect
     hi = out["terahac_pr"][0][1]
     assert hi.precision > 0.9
+
+
+def test_fig9_scaling_job_tiny(spark):
+    (row,) = scaling_rows(spark, rmat_scales=(7,), scc_rounds=(2,))
+    assert row["scale"] == 7 and row["n"] > 0 and row["m"] > 0
+    assert row["terahac_s"] > 0 and row["scc2_s"] > 0
+    assert 1 <= row["terahac_rounds"] <= 17  # the paper's max over all datasets

@@ -140,8 +140,9 @@ def test_terahac_spark_job_budget(spark, workload, monkeypatch):
     jobs, warm and as a session's first call, plus one job of slack (78
     with schema inference, 122 before the fused barrier; AQE makes each
     shuffle stage a job of its own). A count action or an extra join
-    breaks it. Without ``collect_stats`` no ``DataFrame.count`` may run
-    at all."""
+    breaks it. No ``DataFrame.count`` may run. ``collect_stats`` reads
+    every count, the good edges too, off the writes: 73 jobs plus one
+    (88 when the good-edge count was an action of its own)."""
     edges, _ = workload
     df = edges_to_spark(spark, edges)  # uncached: the count cannot depend on test order
     res, jobs, counts = _jobs_of(
@@ -150,6 +151,12 @@ def test_terahac_spark_job_budget(spark, workload, monkeypatch):
     assert res.rounds == 3
     assert counts == []
     assert jobs <= 72, jobs
+    res, jobs, counts = _jobs_of(
+        spark, monkeypatch, lambda: terahac(spark, df, N, eps=0.1, t=0.3, collect_stats=True)
+    )
+    assert [st.n_good for st in res.stats] == [52, 20, 2]
+    assert counts == []
+    assert jobs <= 74, jobs
 
 
 def test_terahac_spark_keeps_one_round_of_barriers(spark, monkeypatch):
@@ -276,17 +283,23 @@ def test_spark_engines_leave_no_checkpoint_dirs(spark):
 def test_scc_spark_equals_local(spark, workload):
     """Same levels and the same per-round counts, on the N-vertex
     workload and on a path beside vertices 4..7 that have no edge (each
-    of them is a cluster of every level)."""
+    of them is a cluster of every level). In timing mode
+    (``record_levels=False``) the one level kept is the last."""
     path = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)]
     for edges, n, rounds, t in ((workload[0], N, 5, 0.05), (path, 8, 3, 0.1)):
         rl = scc_local(edges, n, rounds=rounds, t=t)
-        rs = scc_spark(spark, edges_to_spark(spark, edges), n, rounds=rounds, t=t)
+        df = edges_to_spark(spark, edges)
+        rs = scc_spark(spark, df, n, rounds=rounds, t=t)
         assert len(rs.levels) == rounds
         for a, b in zip(rl.levels, rs.levels):
             assert ari(a, b) == pytest.approx(1.0)
         assert rs.n_clusters == rl.n_clusters
         assert rs.nodes_per_round == rl.nodes_per_round
         assert rs.edges_per_round == rl.edges_per_round
+        last = scc_spark(spark, df, n, rounds=rounds, t=t, record_levels=False)
+        assert len(last.levels) == 1
+        assert ari(last.levels[0], rl.levels[-1]) == pytest.approx(1.0)
+        assert last.n_clusters[-1] == rl.n_clusters[-1]
 
 
 def test_scc_spark_stats(spark, workload):
@@ -320,6 +333,7 @@ def test_graph_dbscan_spark_equals_local(spark, workload, eps, min_pts):
     edges, df = workload
     la = graph_dbscan_local(edges, N, eps=eps, min_pts=min_pts)
     lb = graph_dbscan_spark(spark, df, N, eps=eps, min_pts=min_pts)
+    assert lb.shape == (N,)
     assert ari(la, lb) == pytest.approx(1.0)
 
 
