@@ -82,7 +82,7 @@ def main() -> None:
     r = run_webquery(spark, n=args.n, scc_high=args.scc_high)
 
     print(f"\nweb-query-lite: n={r['n']:,} undirected edges={r['m']:,}\n")
-    print("== Table 3 analogue: median running times (s) ==")
+    print("== Table 3 analogue: running times of one run (s); the paper reports medians ==")
     print(
         f"TeraHAC {r['terahac_s']:.0f}  SCC-{args.scc_high} {r['scc_high_s']:.0f}  "
         f"SCC-5 {r['scc_low_s']:.0f}  DBSCAN {r['dbscan_s']:.0f}"

@@ -29,10 +29,23 @@ Counts are read off writes the round does anyway, through
 ``DataFrame.observe``, never by a count action: the edge barrier's
 write yields the heavy-edge count (the loop condition) and, for
 ``collect_stats``, the edge and vertex counts; the kernel barrier's
-write yields the round's merges, the only rows the driver receives (the
-graph never leaves the cluster). The good-edge count of ``collect_stats``
-is observed on the edge barrier's write too, from the endpoints'
-``w_max`` that pruning computes anyway, so it adds no Spark job.
+write yields the round's merges. The good-edge count of
+``collect_stats`` is observed on the edge barrier's write too, from the
+endpoints' ``w_max`` that pruning computes anyway, so it adds no Spark
+job.
+
+A run finishes on the driver once its graph fits one kernel call's cap.
+When a Spark round's edge barrier still holds a heavy edge and its
+shipped load ``2 * edges`` (the count its write yields) is at most
+``max_subgraph_edges``, the barrier is collected once through Arrow and
+the remaining rounds run in-process in
+:func:`repro.core.terahac_local._rounds`, with the same kernel, partition
+rule and ``max_rounds`` budget, so merges and ``RoundStats`` are those of
+an all-Spark run. The driver then holds at most ``cap / 2`` edges, the
+load one kernel call already gets, and further rounds pay no Spark
+scheduler cost. The test runs only after a Spark round, so round 1
+always runs on Spark: a call on a tiny graph still compiles every round
+plan, and a warm-up call on one is still a warm-up for a larger graph.
 """
 from __future__ import annotations
 
@@ -43,6 +56,7 @@ from pyspark.sql import functions as F
 from repro.core.dendrogram import Dendrogram
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
+from repro.core.terahac_local import _rounds
 from repro.graphs.affinity import size_constrained_affinity
 from repro.graphs.edges import checked, contract_reweight, prune, singletons
 from repro.graphs.io import engine_run, materialize, release
@@ -77,6 +91,24 @@ def _make_subgraph_fn(eps: float, n_base: int):
         return pd.DataFrame(out, columns=["tag", "id1", "id2", "id3", "val1"])
 
     return fn
+
+
+def _driver_graph(
+    e: DataFrame,
+) -> tuple[dict[int, dict[int, float]], dict[int, int], dict[int, float]]:
+    """The edge barrier ``e`` collected once, through Arrow, as the local
+    engine's graph ``(adj, size, m)``: each canonical row gives both
+    orientations of its edge the same ``raw``, as
+    :func:`repro.core.localgraph.contract` keeps them."""
+    cols = e.select("u", "v", "raw", "su", "sv", "mu", "mv").toArrow().to_pydict()
+    adj: dict[int, dict[int, float]] = {}
+    size: dict[int, int] = {}
+    m: dict[int, float] = {}
+    for u, v, raw, su, sv, mu, mv in zip(*cols.values()):
+        adj.setdefault(u, {})[v] = raw
+        adj.setdefault(v, {})[u] = raw
+        size[u], size[v], m[u], m[v] = su, sv, mu, mv
+    return adj, size, m
 
 
 def _edge_barrier(
@@ -121,7 +153,9 @@ def terahac(
     partitioner targets per SubgraphHAC call; an over-target affinity
     cluster is split into ``ceil(load / cap)`` parts, whose loads can
     still exceed it (1.3-1.7x measured; see
-    :func:`repro.graphs.affinity.size_constrained_affinity`).
+    :func:`repro.graphs.affinity.size_constrained_affinity`). Once the
+    whole graph's load is at most the cap, after a Spark round, the run
+    finishes on the driver (see the module docstring).
 
     The run shuffles into :data:`repro.graphs.io.SHUFFLE_PARTITIONS`
     partitions, and its parquet barriers are removed when it returns or
@@ -213,6 +247,11 @@ def _terahac_impl(
         e, counts = _edge_barrier(prune(contract_reweight(e, mapping), prune_at), t, eps)
         # Nothing reads the last round's barriers any more.
         release(prev, result)
+        if counts["heavy"] > 0 and 2 * counts["edges"] <= max_subgraph_edges:
+            return _rounds(
+                *_driver_graph(e), rounds + 1, merges, stats, n_base, eps, t,
+                max_subgraph_edges, max_rounds, collect_stats, graph_counts=collect_stats,
+            )
     else:
         last = stats[-1] if stats else None
         raise RuntimeError(f"TeraHAC did not finish within {max_rounds} rounds; last round: {last}")

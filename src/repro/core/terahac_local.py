@@ -123,15 +123,42 @@ def terahac_local(
     not positive and finite.
     """
     adj, size = build(edges, n_base)
-    m = dict.fromkeys(adj, INF)
-    best, w_max, heavy, n_edges = _scan(adj, size, t)
+    return _rounds(
+        adj, size, dict.fromkeys(adj, INF), 1, [], [],
+        n_base, eps, t, max_subgraph_edges, max_rounds, collect_stats,
+    )
 
-    merges: list[Merge] = []
-    stats: list[RoundStats] = []
+
+def _rounds(
+    adj: dict[int, dict[int, float]],
+    size: dict[int, int],
+    m: dict[int, float],
+    first_round: int,
+    merges: list[Merge],
+    stats: list[RoundStats],
+    n_base: int,
+    eps: float,
+    t: float,
+    max_subgraph_edges: int,
+    max_rounds: int,
+    collect_stats: bool,
+    graph_counts: bool = True,
+) -> TeraHACResult:
+    """Rounds ``first_round..max_rounds`` of Algorithm 1, then the result.
+
+    ``adj``/``size``/``m`` is the graph as round ``first_round`` starts:
+    every vertex has an edge, and both orientations of an edge hold the
+    same raw weight bit for bit. ``merges`` and ``stats`` hold the
+    earlier rounds' and are extended in place. The Spark engine finishes
+    a run here (:mod:`repro.core.terahac`) with
+    ``graph_counts=collect_stats``: without it a round's ``n_vertices``
+    and ``n_edges`` are -1, as in its Spark rounds.
+    """
+    best, w_max, heavy, n_edges = _scan(adj, size, t)
     prune_at = t / (1.0 + eps)
 
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    rounds = first_round - 1
+    for rounds in range(first_round, max_rounds + 1):
         if heavy == 0:
             rounds -= 1
             break
@@ -176,8 +203,8 @@ def terahac_local(
         stats.append(
             RoundStats(
                 round=rounds,
-                n_vertices=len(adj),
-                n_edges=n_edges,
+                n_vertices=len(adj) if graph_counts else -1,
+                n_edges=n_edges if graph_counts else -1,
                 n_heavy=heavy,
                 n_merges=len(round_merges),
                 n_good=n_good,

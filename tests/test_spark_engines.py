@@ -74,11 +74,9 @@ def test_terahac_spark_stats_equal_local_under_cap(spark, workload):
     assert sp.stats == lo.stats
 
 
-def test_terahac_spark_round_barriers(spark, workload, monkeypatch):
-    """Guards the per-round Spark cost: one weighted edge barrier up
-    front, then one kernel barrier and one edge barrier per round, and
-    no connected-components pass (affinity labels by pointer jumping)."""
-    _, df = workload
+def _barrier_tags(monkeypatch) -> list[str]:
+    """The tags of every barrier written from now on, in order; any
+    connected-components pass fails the test."""
     tags = []
     real_cc, real_mat = components.connected_components, io.materialize
 
@@ -96,9 +94,91 @@ def test_terahac_spark_round_barriers(spark, workload, monkeypatch):
                     monkeypatch.setattr(mod, attr, no_cc)
                 elif val is real_mat:
                     monkeypatch.setattr(mod, attr, recording)
-    res = terahac(spark, df, N, eps=0.1, t=0.3)
-    assert res.rounds > 0
-    assert tags == ["edges"] + ["subgraphhac", "edges"] * res.rounds
+    return tags
+
+
+def test_terahac_spark_round_barriers(spark, workload, monkeypatch):
+    """Guards the per-round Spark cost: one weighted edge barrier up
+    front, then one kernel barrier and one edge barrier per Spark round,
+    and no connected-components pass (affinity labels by pointer
+    jumping). Under cap 40 at t=0.3 the edges per round are 300, 134, 8:
+    rounds 1 and 2 run on Spark, and round 2's barrier (2 * 8 <= 40)
+    hands round 3 to the driver, which writes no barrier."""
+    edges, df = workload
+    tags = _barrier_tags(monkeypatch)
+    res = terahac(spark, df, N, eps=0.1, t=0.3, max_subgraph_edges=40)
+    lo = terahac_local(edges, N, eps=0.1, t=0.3, max_subgraph_edges=40)
+    spark_rounds = next(r for r in range(1, lo.rounds) if 2 * lo.stats[r].n_edges <= 40)
+    assert 1 < spark_rounds < res.rounds == lo.rounds
+    assert tags == ["edges"] + ["subgraphhac", "edges"] * spark_rounds
+
+
+def _assert_same_merges(sp, lo):
+    """The same merge sets, similarities within 1e-9."""
+
+    def key(mg):
+        return (mg.parent, mg.left, mg.right)
+
+    a = sorted(sp.dendrogram.merges, key=key)
+    b = sorted(lo.dendrogram.merges, key=key)
+    assert [key(x) for x in a] == [key(x) for x in b]
+    for x, y in zip(a, b):
+        assert x.similarity == pytest.approx(y.similarity, rel=1e-9)
+
+
+def test_terahac_spark_stats_convention_without_collect_stats(spark, workload):
+    """A plain call reports -1 vertices and edges and no good-edge count
+    in every round, Spark and driver rounds alike (cap 40, t=0.3: rounds
+    1-2 on Spark, round 3 on the driver); the heavy edges and the merges
+    are the local engine's."""
+    edges, df = workload
+    sp = terahac(spark, df, N, eps=0.1, t=0.3, max_subgraph_edges=40)
+    lo = terahac_local(edges, N, eps=0.1, t=0.3, max_subgraph_edges=40)
+    assert sp.rounds == lo.rounds == 3
+    assert [(st.n_vertices, st.n_edges, st.n_good) for st in sp.stats] == [(-1, -1, None)] * 3
+    assert [(st.round, st.n_heavy, st.n_merges) for st in sp.stats] == [
+        (st.round, st.n_heavy, st.n_merges) for st in lo.stats
+    ]
+    _assert_same_merges(sp, lo)
+
+
+@pytest.mark.parametrize(
+    "t,cap,spark_rounds",
+    [(0.3, 200_000, 1), (0.0, 40, 9), (0.3, 1, 5)],
+    ids=["after-round-1", "mid-run", "never"],
+)
+def test_terahac_spark_equals_local_across_hand_off(
+    spark, workload, monkeypatch, t, cap, spark_rounds
+):
+    """Spark == local wherever the run moves to the driver: after round 1
+    (default cap, t=0.3: 2 * 99 edges fit), mid-run (cap 40, t=0: edges
+    300, ..., 49, 22, 7, so rounds 1-9 run on Spark and round 10 on the
+    driver) and never (cap 1: 2 * edges <= 1 cannot hold while a heavy
+    edge remains; 5 rounds). Caps 40 and 1 split clusters, so both
+    engines must also apply one split rule. Same rounds, same
+    ``collect_stats`` stats, same merge sets with similarities within
+    1e-9."""
+    edges, df = workload
+    tags = _barrier_tags(monkeypatch)
+    sp = terahac(spark, df, N, eps=0.1, t=t, max_subgraph_edges=cap, collect_stats=True)
+    lo = terahac_local(edges, N, eps=0.1, t=t, max_subgraph_edges=cap, collect_stats=True)
+    assert tags.count("subgraphhac") == spark_rounds
+    assert sp.rounds == lo.rounds
+    assert sp.stats == lo.stats
+    _assert_same_merges(sp, lo)
+
+
+def test_terahac_spark_max_rounds_counts_driver_rounds(spark, workload):
+    """``max_rounds`` counts Spark and driver rounds together: at t=0.3
+    the run needs 3 rounds, round 1 on Spark and rounds 2-3 on the
+    driver, so ``max_rounds=2`` runs out in the driver's tail and names
+    its last round."""
+    _, df = workload
+    with pytest.raises(
+        RuntimeError,
+        match=r"within 2 rounds; last round: RoundStats\(round=2, n_vertices=-1, n_edges=-1, ",
+    ):
+        terahac(spark, df, N, eps=0.1, t=0.3, max_rounds=2)
 
 
 _groups = itertools.count()
@@ -133,40 +213,38 @@ def _jobs_of(spark, monkeypatch, call):
 def test_terahac_spark_job_budget(spark, workload, monkeypatch):
     """Guards the per-round Spark cost by counting the jobs of one
     ``terahac()`` call (N=120, t=0.3, 3 rounds) through a job group.
-    The budget is the count measured on Spark 4.1 in local mode once each
-    round was one kernel barrier plus one fused contract-reweight-prune
-    barrier with every count read off the writes, and a barrier's
-    read-back took its schema from the write instead of inferring it: 71
-    jobs, warm and as a session's first call, plus one job of slack (78
-    with schema inference, 122 before the fused barrier; AQE makes each
-    shuffle stage a job of its own). A count action or an extra join
-    breaks it. No ``DataFrame.count`` may run. ``collect_stats`` reads
-    every count, the good edges too, off the writes: 73 jobs plus one
-    (88 when the good-edge count was an action of its own)."""
+    Each budget is the count measured on Spark 4.1 in local mode plus one
+    job of slack. Round 1 runs on Spark (one kernel barrier plus one
+    fused contract-reweight-prune barrier, every count read off the
+    writes) and its barrier, 99 edges, is collected once for rounds 2-3
+    on the driver: 29 jobs warm, 30 as a session's first call (71 when
+    every round ran on Spark; AQE makes each shuffle stage a job of its
+    own). ``collect_stats`` reads every count, the good edges too, off
+    the writes: 31 jobs. Under cap 40 rounds 1-2 run on Spark: 55 jobs,
+    so one more job a Spark round shows twice. A count action or an
+    extra join breaks the budgets. No ``DataFrame.count`` may run."""
     edges, _ = workload
     df = edges_to_spark(spark, edges)  # uncached: the count cannot depend on test order
-    res, jobs, counts = _jobs_of(
-        spark, monkeypatch, lambda: terahac(spark, df, N, eps=0.1, t=0.3)
-    )
-    assert res.rounds == 3
-    assert counts == []
-    assert jobs <= 72, jobs
-    res, jobs, counts = _jobs_of(
-        spark, monkeypatch, lambda: terahac(spark, df, N, eps=0.1, t=0.3, collect_stats=True)
-    )
-    assert [st.n_good for st in res.stats] == [52, 20, 2]
-    assert counts == []
-    assert jobs <= 74, jobs
+    for kwargs, budget in (({}, 30), ({"collect_stats": True}, 32), ({"max_subgraph_edges": 40}, 56)):
+        res, jobs, counts = _jobs_of(
+            spark, monkeypatch, lambda: terahac(spark, df, N, eps=0.1, t=0.3, **kwargs)
+        )
+        assert res.rounds == 3
+        assert counts == []
+        assert jobs <= budget, (kwargs, jobs)
+        if kwargs.get("collect_stats"):
+            assert [st.n_good for st in res.stats] == [52, 20, 2]
 
 
 def test_terahac_spark_keeps_one_round_of_barriers(spark, monkeypatch):
     """A superseded barrier is removed once the next edge barrier is
     written: whenever a barrier is written, the run directory holds at
     most one barrier of each kind, and the call ends holding only its
-    last edge barrier. The graph is the N-vertex workload (3 rounds at
-    t=0.3) beside a 300-vertex path with rising weights, whose affinity
-    tree of depth 298 makes pointer jumping write an ``affinity-ptr``
-    barrier too."""
+    last edge barrier, also when the run finishes on the driver. The
+    graph is the N-vertex workload beside a 300-vertex path with rising
+    weights (3 rounds at t=0.3: round 1 on Spark, whose 99-edge barrier
+    hands rounds 2-3 to the driver); the path's affinity tree of depth
+    298 makes pointer jumping write an ``affinity-ptr`` barrier too."""
     held, tags = [], []
 
     def listing():
@@ -217,24 +295,6 @@ def test_terahac_spark_size_constrained(spark, workload):
     edges, df = workload
     res = terahac(spark, df, N, eps=0.1, t=0.0, max_subgraph_edges=40)
     assert empirical_approx_ratio(res.dendrogram, edges) <= 1.1 * (1 + 1e-9)
-
-
-def test_terahac_spark_equals_local_under_cap(spark, workload):
-    """One split rule in both engines: under a cap that splits clusters,
-    the rounds and the merge sets agree, similarities within 1e-9."""
-    edges, df = workload
-    sp = terahac(spark, df, N, eps=0.1, t=0.0, max_subgraph_edges=40)
-    lo = terahac_local(edges, N, eps=0.1, t=0.0, max_subgraph_edges=40)
-    assert sp.rounds == lo.rounds
-
-    def key(mg):
-        return (mg.parent, mg.left, mg.right)
-
-    a = sorted(sp.dendrogram.merges, key=key)
-    b = sorted(lo.dendrogram.merges, key=key)
-    assert [key(x) for x in a] == [key(x) for x in b]
-    for x, y in zip(a, b):
-        assert x.similarity == pytest.approx(y.similarity, rel=1e-9)
 
 
 @pytest.mark.parametrize(
