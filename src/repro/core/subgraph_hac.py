@@ -4,7 +4,12 @@ subgraph G^C.
 
 This is the per-machine kernel of TeraHAC; the Spark engine runs it inside
 ``applyInPandas`` (one call per affinity cluster), the local engine calls
-it directly. The implementation is the lazy-heap approach of Appendix B
+it directly, on the graph a machine already holds: ``adj`` has one row
+``{neighbour: raw}`` per active vertex and none for an inactive one, and
+``size`` and ``m`` cover every vertex that ``adj`` references. The
+kernel mutates ``adj`` and adds the ``size`` and ``m`` entries of the
+ids it creates, changing no existing entry, so the local engine passes
+its own dicts. The implementation is the lazy-heap approach of Appendix B
 with exact (rather than (1+alpha)-approximate) goodness maintenance —
 exactness is affordable because partitions are size-capped, and it
 strengthens the guarantee: *every* merge performed is exactly good at
@@ -37,8 +42,6 @@ from dataclasses import dataclass
 from repro.core.goodness import goodness, merge_id, merged_m
 from repro.core.localgraph import merge_pair
 
-INF = float("inf")
-
 
 @dataclass(frozen=True)
 class Merge:
@@ -54,57 +57,36 @@ class Merge:
 class SubgraphHACResult:
     """Merges (in performed order) and the vertex mapping of one call.
 
-    ``mapping`` maps every *active input* vertex id to
-    ``(final_cluster_id, final_size, final_m)``; unmerged vertices map to
-    themselves with their input metadata.
+    ``mapping`` maps every *active input* vertex id to the id of its
+    final cluster; an unmerged vertex maps to itself. The final
+    cluster's size and ``M`` are in the caller's ``size`` and ``m``.
     """
 
     merges: list[Merge]
-    mapping: dict[int, tuple[int, int, float]]
+    mapping: dict[int, int]
 
 
 def subgraph_hac(
-    edge_rows: list[tuple[int, int, float, int, int, float, float, bool, bool]],
+    adj: dict[int, dict[int, float]],
+    size: dict[int, int],
+    m: dict[int, float],
     eps: float,
     n_base: int,
 ) -> SubgraphHACResult:
-    """Run SubgraphHAC on one subgraph.
+    """Run SubgraphHAC on one subgraph, given as in the module docstring.
 
-    ``edge_rows``: ``(u, v, raw, size_u, size_v, m_u, m_v, active_u,
-    active_v)`` — every edge of G^C exactly once (any orientation). ``raw``
-    is the un-normalized average-linkage weight ``w * size_u * size_v``.
-    Inactive-inactive edges must not appear (they are not part of G^C).
-    Fields are used as given, without conversion: both engines pass
-    Python ints and floats (the Spark engine builds its rows with
-    ``tolist()``).
+    ``raw`` is the un-normalized average-linkage weight ``w * size_u *
+    size_v``. Inactive vertices never merge, so they need no row (their
+    w_max is never read: Definition 2 uses the w_max of the two merging
+    vertices). Values are used as given: both engines pass Python ints
+    and floats.
     """
-    size: dict[int, int] = {}
-    m: dict[int, float] = {}
+    # Insertion in adj's order, not set(adj), which sizes the table
+    # differently: this set's order is mapping's, and so the caller's
+    # contraction order.
     active: set[int] = set()
-    adj: dict[int, dict[int, float]] = {}
-
-    # Adjacency is kept for active endpoints only; inactive vertices never
-    # merge, so their w_max is never needed (Definition 2 uses the w_max
-    # of the two *merging* vertices, which are both active).
-    for u, v, raw, su, sv, mu, mv, au, av in edge_rows:
-        if not (au or av):
-            raise ValueError(f"inactive-inactive edge ({u},{v}) is not part of G^C")
-        size[u] = su
-        size[v] = sv
-        m[u] = mu
-        m[v] = mv
-        if au:
-            active.add(u)
-            row = adj.get(u)
-            if row is None:
-                adj[u] = row = {}
-            row[v] = row.get(v, 0.0) + raw
-        if av:
-            active.add(v)
-            row = adj.get(v)
-            if row is None:
-                adj[v] = row = {}
-            row[u] = row.get(u, 0.0) + raw
+    for x in adj:
+        active.add(x)
 
     input_active = set(active)
     parent: dict[int, int] = {}
@@ -201,10 +183,10 @@ def subgraph_hac(
         if not progressed or scan_dirty() == 0:
             break
 
-    mapping: dict[int, tuple[int, int, float]] = {}
+    mapping: dict[int, int] = {}
     for vtx in input_active:
         cur = vtx
         while cur in parent:
             cur = parent[cur]
-        mapping[vtx] = (cur, size[cur], m[cur])
+        mapping[vtx] = cur
     return SubgraphHACResult(merges=merges, mapping=mapping)

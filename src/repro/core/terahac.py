@@ -49,11 +49,14 @@ plan, and a warm-up call on one is still a warm-up for a larger graph.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 import pandas as pd
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.dendrogram import Dendrogram
+from repro.core.localgraph import Adj
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
 from repro.core.terahac_local import _rounds
@@ -66,25 +69,35 @@ _RESULT_SCHEMA = (
 )
 
 
+def _graph_of(u, v, raw, su, sv, mu, mv, au, av) -> tuple[Adj, dict[int, int], dict[int, float]]:
+    """The graph ``(adj, size, m)`` of canonical edge rows given as column
+    lists: an end whose flag in ``au``/``av`` is true gets a row."""
+    adj: Adj = {}
+    size: dict[int, int] = {}
+    m: dict[int, float] = {}
+    for a, b, r, sa, sb, ma, mb, ka, kb in zip(u, v, raw, su, sv, mu, mv, au, av):
+        size[a], size[b], m[a], m[b] = sa, sb, ma, mb
+        if ka:
+            adj.setdefault(a, {})[b] = r
+        if kb:
+            adj.setdefault(b, {})[a] = r
+    return adj, size, m
+
+
 def _make_subgraph_fn(eps: float, n_base: int):
-    """Build the per-partition pandas UDF: one SubgraphHAC call per group."""
+    """Build the per-partition pandas UDF: one SubgraphHAC call per group,
+    whose active ends are those of the group's cluster."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         cluster = int(pdf["cluster"].iloc[0])
-        rows = list(zip(
-            pdf["u"].tolist(),
-            pdf["v"].tolist(),
-            pdf["raw"].tolist(),
-            pdf["su"].tolist(),
-            pdf["sv"].tolist(),
-            pdf["mu"].tolist(),
-            pdf["mv"].tolist(),
+        adj, size, m = _graph_of(
+            *(pdf[c].tolist() for c in ("u", "v", "raw", "su", "sv", "mu", "mv")),
             (pdf["cu"] == cluster).tolist(),
             (pdf["cv"] == cluster).tolist(),
-        ))
-        res = subgraph_hac(rows, eps, n_base)
+        )
+        res = subgraph_hac(adj, size, m, eps, n_base)
         out = [
-            (0, old, new, s, mm) for old, (new, s, mm) in res.mapping.items()
+            (0, old, new, size[new], m[new]) for old, new in res.mapping.items()
         ] + [
             (1, mg.parent, mg.left, mg.right, mg.similarity) for mg in res.merges
         ]
@@ -93,22 +106,12 @@ def _make_subgraph_fn(eps: float, n_base: int):
     return fn
 
 
-def _driver_graph(
-    e: DataFrame,
-) -> tuple[dict[int, dict[int, float]], dict[int, int], dict[int, float]]:
+def _driver_graph(e: DataFrame) -> tuple[Adj, dict[int, int], dict[int, float]]:
     """The edge barrier ``e`` collected once, through Arrow, as the local
-    engine's graph ``(adj, size, m)``: each canonical row gives both
-    orientations of its edge the same ``raw``, as
+    engine's graph: both orientations of an edge hold its one ``raw``, as
     :func:`repro.core.localgraph.contract` keeps them."""
     cols = e.select("u", "v", "raw", "su", "sv", "mu", "mv").toArrow().to_pydict()
-    adj: dict[int, dict[int, float]] = {}
-    size: dict[int, int] = {}
-    m: dict[int, float] = {}
-    for u, v, raw, su, sv, mu, mv in zip(*cols.values()):
-        adj.setdefault(u, {})[v] = raw
-        adj.setdefault(v, {})[u] = raw
-        size[u], size[v], m[u], m[v] = su, sv, mu, mv
-    return adj, size, m
+    return _graph_of(*cols.values(), repeat(True), repeat(True))
 
 
 def _edge_barrier(
@@ -152,7 +155,7 @@ def terahac(
     ``max_subgraph_edges`` is the shipped load (edge rows) that the
     partitioner targets per SubgraphHAC call; an over-target affinity
     cluster is split into ``ceil(load / cap)`` parts, whose loads can
-    still exceed it (1.3-1.7x measured; see
+    still exceed it (up to 2.19x measured; see
     :func:`repro.graphs.affinity.size_constrained_affinity`). Once the
     whole graph's load is at most the cap, after a Spark round, the run
     finishes on the driver (see the module docstring).

@@ -20,13 +20,13 @@ stats all read it (its docstring says why pruning leaves it exact).
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.core.dendrogram import Dendrogram
-from repro.core.goodness import goodness
-from repro.core.localgraph import DSU, build, contract
+from repro.core.goodness import INF, goodness
+from repro.core.localgraph import DSU, Adj, build, contract
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
-
-INF = float("inf")
 
 
 def _scan(
@@ -68,9 +68,7 @@ def _scan(
 
 
 def _affinity_partition(
-    adj: dict[int, dict[int, float]],
-    best: dict[int, int],
-    max_subgraph_edges: int,
+    adj: Adj, best: dict[int, int], max_subgraph_edges: int
 ) -> dict[int, int]:
     """Size-constrained affinity clustering on the local graph.
 
@@ -79,7 +77,8 @@ def _affinity_partition(
     best edge by max (w, neighbour-id) (``best``, from :func:`_scan`),
     components by min id, and a cluster whose shipped load (sum of member
     degrees) exceeds the cap split by a key that keeps every mutual-best
-    pair in one part.
+    pair in one part. A part's id is ``-(its min member) - 1``, so parts
+    of different clusters never share an id.
     """
     dsu = DSU()
     for u, b in best.items():
@@ -89,6 +88,8 @@ def _affinity_partition(
     for u in adj:
         load[comp[u]] = load.get(comp[u], 0) + len(adj[u])
     out: dict[int, int] = {}
+    parts: dict[int, tuple[int, int]] = {}  # split member -> (tree, part index)
+    low: dict[tuple[int, int], int] = {}  # part -> min member
     for u in adj:
         c = comp[u]
         nparts = max(1, -(-load[c] // max_subgraph_edges))
@@ -97,7 +98,26 @@ def _affinity_partition(
         else:
             b = best.get(u)
             key = min(u, b) if best.get(b) == u else u
-            out[u] = -(c * nparts + key % nparts) - 1
+            part = parts[u] = (c, key % nparts)
+            low[part] = min(low.get(part, u), u)
+    for u, part in parts.items():
+        out[u] = -low[part] - 1
+    return out
+
+
+def _groups(adj: Adj, clusters: dict[int, int]) -> dict[int, Adj]:
+    """``{cluster: {member: copy of its row}}``, the kernel's inputs.
+
+    Clusters and members come in order of first appearance in a scan of
+    the ``a < b`` edges in ``adj`` order, ``a`` before ``b``. The
+    kernel's mapping order, and so the order of the contraction's sums,
+    follows it; the golden digests pin it bit for bit."""
+    seen = dict.fromkeys(chain.from_iterable(
+        chain((a,), filter(a.__lt__, nb)) for a, nb in adj.items() if max(nb) > a
+    ))
+    out: dict[int, Adj] = {}
+    for x in seen:
+        out.setdefault(clusters[x], {})[x] = dict(adj[x])
     return out
 
 
@@ -117,7 +137,7 @@ def terahac_local(
     incident weight is < t/(1+eps). ``t=0`` computes the full
     (1+eps)-approximate dendrogram. ``max_subgraph_edges`` is the load
     the partitioner targets per SubgraphHAC call, not a bound (parts
-    reach 1.3-1.7x it; see
+    reach 2.19x it; see
     :func:`repro.graphs.affinity.size_constrained_affinity`). Raises
     ``ValueError`` on an id outside ``0..n_base-1`` or a weight that is
     not positive and finite.
@@ -176,24 +196,12 @@ def _rounds(
             )
 
         clusters = _affinity_partition(adj, best, max_subgraph_edges)
-        groups: dict[int, list] = {}
-        for a in adj:
-            for b, raw in adj[a].items():
-                if a < b:
-                    ca, cb = clusters[a], clusters[b]
-                    row_a = (a, b, raw, size[a], size[b], m[a], m[b], True, ca == cb)
-                    groups.setdefault(ca, []).append(row_a)
-                    if cb != ca:
-                        groups.setdefault(cb, []).append(
-                            (a, b, raw, size[a], size[b], m[a], m[b], False, True)
-                        )
-
         round_merges: list[Merge] = []
-        mapping: dict[int, tuple[int, int, float]] = {}
-        for rows in groups.values():
-            res = subgraph_hac(rows, eps, n_base)
+        relabel: dict[int, int] = {}
+        for group in _groups(adj, clusters).values():
+            res = subgraph_hac(group, size, m, eps, n_base)
             round_merges.extend(res.merges)
-            mapping.update(res.mapping)
+            relabel.update(res.mapping)
 
         if not round_merges:
             # A mutual-best pair is good and never split (graphs/affinity.py).
@@ -211,11 +219,8 @@ def _rounds(
             )
         )
 
-        # --- contraction ---
-        for old, (new, s, mm) in mapping.items():
-            size[new] = s
-            m[new] = mm
-        adj = contract(adj, {old: new for old, (new, _, _) in mapping.items()})
+        # --- contraction (the kernel added the new ids' size and M) ---
+        adj = contract(adj, relabel)
         best, w_max, heavy, n_edges = _scan(adj, size, t)
 
         # --- vertex pruning + isolated removal (exact: see _scan) ---

@@ -105,9 +105,7 @@ def test_size_constraint_noop_below_cap(spark, graph):
 
 def test_refines_affinity_partition(spark, graph):
     """Size splitting only refines: two vertices in different affinity
-    clusters never land in the same split cluster (part ids
-    ``-(c·nparts + key mod nparts) - 1`` of two clusters can coincide,
-    which would only coarsen the partition; no two do at this scale)."""
+    clusters never land in the same split cluster."""
     _, ew = graph
     base = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
     split = {r.id: r.cluster for r in size_constrained_affinity(ew, 20).collect()}
@@ -118,7 +116,8 @@ def test_refines_affinity_partition(spark, graph):
 
 def _reference(edges, cap=None):
     """Brute force: best edge by max (w, neighbour id), components labelled
-    by min member id, an over-cap component split by the key rule."""
+    by min member id, an over-cap component split by the key rule into
+    parts labelled ``-(min member) - 1``."""
     adj = {}
     for u, v, w in edges:
         adj.setdefault(u, []).append((w, v))
@@ -130,12 +129,17 @@ def _reference(edges, cap=None):
     load = {}
     for x, c in comp.items():
         load[c] = load.get(c, 0) + len(adj[x])
-    out = {}
+    part = {}
     for x, c in comp.items():
         nparts = -(-load[c] // cap)
         key = min(x, best[x]) if best[best[x]] == x else x
-        out[x] = c if nparts <= 1 else -(c * nparts + key % nparts) - 1
-    return out
+        part[x] = (c, key % nparts)
+    low = {}
+    for x, p in part.items():
+        low[p] = min(low.get(p, x), x)
+    return {
+        x: comp[x] if load[comp[x]] <= cap else -low[p] - 1 for x, p in part.items()
+    }
 
 
 # A path whose weights rise toward its end: every vertex marks its right

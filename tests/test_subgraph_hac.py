@@ -1,13 +1,30 @@
 """SubgraphHAC kernel tests: every merge good, result maximal, active /
-inactive contract honoured (Algorithms 2/4, Lemmas 2/5)."""
+inactive contract honoured (Algorithms 2/4, Lemmas 2/5).
+
+Fixtures are written as edge rows ``(u, v, raw, size_u, size_v, m_u,
+m_v, active_u, active_v)`` and handed to the kernel through
+:func:`_graph`."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import terahac_local as local
 from repro.core.goodness import INF, encode_leaf, goodness
+from repro.core.localgraph import build
 from repro.core.subgraph_hac import subgraph_hac
+from repro.core.terahac import _graph_of
 from repro.synth_data import random_weighted_graph
+
+
+def _graph(rows):
+    """The kernel input ``(adj, size, m)`` of edge rows: a row of each
+    active endpoint, and ``size``/``m`` of every endpoint."""
+    return _graph_of(*zip(*rows))
+
+
+def _run(rows, eps, n_base):
+    return subgraph_hac(*_graph(rows), eps, n_base)
 
 
 def _rows_all_active(edges, n):
@@ -58,7 +75,7 @@ def _wmax(adj, size, x):
 def _check_good_and_maximal(rows, eps, n_base):
     """Replay the kernel's merges: each is (1+eps)-good at its turn, and
     no good active-active edge is left at the end."""
-    res = subgraph_hac(rows, eps, n_base)
+    res = _run(rows, eps, n_base)
     adj, size, m, active = _replay_state(rows)
     merged_away = set()
     for mg in res.merges:
@@ -100,19 +117,19 @@ def test_all_merges_are_good_and_result_is_maximal(seed, eps):
     _check_good_and_maximal(_rows_all_active(edges, n), eps, n)
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
-def test_good_and_maximal_with_ties(seed, eps):
-    """Weights from {0.5, 1.0} make w_max ties everywhere, which is where
-    a cached argmax can go stale; sizes, prior M and inactive vertices
-    vary as in later rounds."""
-    n = 60
-    n_base = 4 * n  # room for every size sum in the id encoding
+_TIED_N = 60
+_TIED_BASE = 4 * _TIED_N  # room for every size sum in the id encoding
+
+
+def _tied_rows(seed):
+    """Rows with weights from {0.5, 1.0}, so w_max ties everywhere, and
+    sizes, prior M and inactive vertices varied as in later rounds."""
+    n = _TIED_N
     rng = np.random.default_rng(seed)
     sz = rng.integers(1, 4, n)
     mm = rng.choice([INF, 1.0, 0.8, 0.5], n)
     act = rng.random(n) < 0.8
-    ids = [encode_leaf(v, n_base) + int(sz[v]) - 1 for v in range(n)]
+    ids = [encode_leaf(v, _TIED_BASE) + int(sz[v]) - 1 for v in range(n)]
     rows = []
     for u, v, _ in random_weighted_graph(n=n, avg_deg=5, seed=seed):
         if act[u] or act[v]:
@@ -121,7 +138,14 @@ def test_good_and_maximal_with_ties(seed, eps):
                 ids[u], ids[v], w * sz[u] * sz[v], int(sz[u]), int(sz[v]),
                 float(mm[u]), float(mm[v]), bool(act[u]), bool(act[v]),
             ))
-    res = _check_good_and_maximal(rows, eps, n_base)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+def test_good_and_maximal_with_ties(seed, eps):
+    """Ties in w_max are where a cached argmax can go stale."""
+    res = _check_good_and_maximal(_tied_rows(seed), eps, _TIED_BASE)
     assert res.merges, "no merge exercised the cache"
 
 
@@ -139,7 +163,7 @@ def test_inactive_vertices_never_merge(seed):
         rows.append(
             (encode_leaf(u, n), encode_leaf(v, n), w, 1, 1, INF, INF, au, av)
         )
-    res = subgraph_hac(rows, 0.2, n)
+    res = _run(rows, 0.2, n)
     inact = {encode_leaf(v, n) for v in range(n) if v not in act}
     for mg in res.merges:
         assert mg.left not in inact and mg.right not in inact
@@ -156,9 +180,9 @@ def test_mapping_identity_for_unmerged():
         (encode_leaf(0, n), encode_leaf(1, n), 1.0, 1, 1, INF, INF, True, True),
         (encode_leaf(2, n), encode_leaf(3, n), 0.9, 1, 1, 0.7, INF, True, False),
     ]
-    res = subgraph_hac(rows, 0.0, n)
+    res = _run(rows, 0.0, n)
     assert len(res.merges) == 1  # only 0-1 can merge
-    assert res.mapping[encode_leaf(2, n)] == (encode_leaf(2, n), 1, 0.7)
+    assert res.mapping[encode_leaf(2, n)] == encode_leaf(2, n)
 
 
 def test_eps0_merges_only_reciprocal_pairs_initially():
@@ -169,16 +193,30 @@ def test_eps0_merges_only_reciprocal_pairs_initially():
         (encode_leaf(0, n), encode_leaf(1, n), 1.0, 1, 1, INF, INF, True, True),
         (encode_leaf(1, n), encode_leaf(2, n), 0.8, 1, 1, INF, INF, True, True),
     ]
-    res = subgraph_hac(rows, 0.0, n)
+    res = _run(rows, 0.0, n)
     first = res.merges[0]
     assert {first.left, first.right} == {encode_leaf(0, n), encode_leaf(1, n)}
 
 
-def test_inactive_inactive_edge_rejected():
-    n = 2
-    rows = [(encode_leaf(0, n), encode_leaf(1, n), 1.0, 1, 1, INF, INF, False, False)]
-    with pytest.raises(ValueError):
-        subgraph_hac(rows, 0.1, n)
+@pytest.mark.parametrize("seed", range(4))
+def test_adds_only_new_ids_to_size_and_m(seed):
+    """The kernel may add ``size`` and ``m`` entries for the ids it
+    creates and must change no existing one, so the local engine can pass
+    its whole graph's dicts: after a call the old entries are as they
+    were and the new keys are exactly the merges' parents, with their
+    sizes and ``M`` (mapping targets included)."""
+    rows = _tied_rows(seed)
+    adj, size, m = _graph(rows)
+    size0, m0 = dict(size), dict(m)
+    res = subgraph_hac(adj, size, m, 0.1, _TIED_BASE)
+    parents = {mg.parent for mg in res.merges}
+    assert parents and not parents & set(size0)
+    assert {k: size[k] for k in size0} == size0 and {k: m[k] for k in m0} == m0
+    assert set(size) == set(size0) | parents and set(m) == set(m0) | parents
+    for mg in res.merges:
+        assert size[mg.parent] == size[mg.left] + size[mg.right]
+        assert m[mg.parent] == min(m[mg.left], m[mg.right], mg.similarity)
+    assert set(res.mapping.values()) <= set(size0) | parents
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -188,7 +226,7 @@ def test_lemma2_invariant_after_run(seed):
     n = 50
     edges = random_weighted_graph(n=n, avg_deg=5, seed=seed)
     rows = _rows_all_active(edges, n)
-    res = subgraph_hac(rows, eps, n)
+    res = _run(rows, eps, n)
     adj, size, m, active = _replay_state(rows)
     for mg in res.merges:
         _apply(adj, size, m, mg)
@@ -207,8 +245,38 @@ def test_carries_prior_m_values():
     # vertex 0 carries M = 0.5 from earlier rounds; edge weight 0.8 with
     # wmax 0.8 would be good on weights alone, but 0.8/0.5 > 1.1.
     rows = [(encode_leaf(0, n), encode_leaf(1, n), 0.8, 1, 1, 0.5, INF, True, True)]
-    res = subgraph_hac(rows, eps, n)
+    res = _run(rows, eps, n)
     assert res.merges == []
     # with a benign M it merges
     rows2 = [(encode_leaf(0, n), encode_leaf(1, n), 0.8, 1, 1, INF, INF, True, True)]
-    assert len(subgraph_hac(rows2, eps, n).merges) == 1
+    assert len(_run(rows2, eps, n).merges) == 1
+
+
+def test_both_engines_hand_a_capped_group_the_same_input():
+    """The kernel boundary: each group of a capped partition, built by the
+    Spark UDF's column-list builder from its shipped edge rows (in an
+    arbitrary order, as a shuffle delivers them; an end is active when
+    its cluster is the group's) and by the local
+    engine's slice of its graph, gives equal merges and an equal
+    mapping."""
+    n = 120
+    adj, size = build(random_weighted_graph(n=n, avg_deg=5, seed=5), n)
+    m = dict.fromkeys(adj, INF)
+    best = local._scan(adj, size, 0.0)[0]
+    clusters = local._affinity_partition(adj, best, 40)
+    groups = local._groups(adj, clusters)
+    assert any(c < 0 for c in groups), "the cap split no cluster"
+    rng = np.random.default_rng(0)
+    for c, group in groups.items():
+        shipped = [
+            (a, b, raw, size[a], size[b], m[a], m[b], clusters[a] == c, clusters[b] == c)
+            for a, nb in adj.items()
+            for b, raw in nb.items()
+            if a < b and c in (clusters[a], clusters[b])
+        ]
+        shipped = [shipped[i] for i in rng.permutation(len(shipped))]
+        spark_in = _graph_of(*zip(*shipped))
+        assert spark_in[0] == group
+        a = subgraph_hac(*spark_in, 0.1, n)
+        b = subgraph_hac(group, dict(size), dict(m), 0.1, n)
+        assert a.merges == b.merges and a.mapping == b.mapping

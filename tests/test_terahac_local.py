@@ -12,6 +12,7 @@ import pytest
 from repro.baselines.hac_exact import exact_hac_graph
 from repro.baselines.rac import rac
 from repro.core.dendrogram import empirical_approx_ratio
+from repro.core.localgraph import DSU
 from repro.core import terahac_local as engine
 from repro.core.terahac_local import terahac_local
 from repro.synth_data import degree_weights_local, random_weighted_graph, rmat_edges
@@ -167,6 +168,40 @@ def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, 
         ex = exact_hac_graph(edges, n)
         assert res.dendrogram.internal_cluster_sets() == ex.internal_cluster_sets()
     terahac_local(edges, n, eps=eps, t=0.1, max_subgraph_edges=cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_kernel_call_holds_one_marked_tree(monkeypatch, seed):
+    """A split part's id is its min member's, so parts of two marked
+    trees never share a kernel call and the cap holds per tree. At cap 10
+    every seed has parts ``i``, ``i'`` of two trees ``c``, ``c'`` with
+    ``c·nparts + i == c'·nparts' + i'``, which a label built from the tree
+    id and part index would merge."""
+    n = 120
+    edges = random_weighted_graph(n=n, avg_deg=5, seed=seed)
+    partition, kernel = engine._affinity_partition, engine.subgraph_hac
+    tree: dict[int, int] = {}
+    trees_per_call, splits = [], []
+
+    def marking(adj, best, max_subgraph_edges):
+        dsu = DSU()
+        for u, b in best.items():
+            dsu.union(u, b)
+        tree.clear()
+        tree.update({u: dsu.find(u) for u in adj})
+        out = partition(adj, best, max_subgraph_edges)
+        splits.append(any(c < 0 for c in out.values()))
+        return out
+
+    def checked(adj, size, m, eps, n_base):
+        trees_per_call.append({tree[x] for x in adj})
+        return kernel(adj, size, m, eps, n_base)
+
+    monkeypatch.setattr(engine, "_affinity_partition", marking)
+    monkeypatch.setattr(engine, "subgraph_hac", checked)
+    terahac_local(edges, n, eps=0.1, t=0.0, max_subgraph_edges=10)
+    assert any(splits)
+    assert all(len(trees) == 1 for trees in trees_per_call)
 
 
 def test_max_rounds_error_reports_last_round():
