@@ -46,6 +46,19 @@ load one kernel call already gets, and further rounds pay no Spark
 scheduler cost. The test runs only after a Spark round, so round 1
 always runs on Spark: a call on a tiny graph still compiles every round
 plan, and a warm-up call on one is still a warm-up for a larger graph.
+
+A Spark round whose edges fit the cap labels its affinity forest on the
+driver. The edge count its barrier's write yields goes to
+:func:`repro.graphs.affinity.size_constrained_affinity`; at most
+``max_subgraph_edges`` edges means at most twice as many vertices, whose
+best-edge table is collected once and labelled by the local engine's
+partition function, in place of the pointer-jumping self-joins. So
+round 1 of a graph within the cap, and any Spark round with
+``cap / 2 < edges <= cap``, spends 2 jobs on its partition instead of
+about 14. On ``wq-spark`` (107 edges against a cap of 150) a warm call
+fell from 29 to 17 jobs. A warm-up call on a tiny graph therefore no
+longer compiles the pointer-jumping plans: a graph above the cap
+compiles them in its first call.
 """
 from __future__ import annotations
 
@@ -156,9 +169,10 @@ def terahac(
     partitioner targets per SubgraphHAC call; an over-target affinity
     cluster is split into ``ceil(load / cap)`` parts, whose loads can
     still exceed it (up to 2.19x measured; see
-    :func:`repro.graphs.affinity.size_constrained_affinity`). Once the
-    whole graph's load is at most the cap, after a Spark round, the run
-    finishes on the driver (see the module docstring).
+    :func:`repro.graphs.affinity.size_constrained_affinity`). A Spark
+    round whose edges fit the cap labels its partition on the driver,
+    and once the whole graph's load is at most the cap, after a Spark
+    round, the run finishes on the driver (see the module docstring).
 
     The run shuffles into :data:`repro.graphs.io.SHUFFLE_PARTITIONS`
     partitions, and its parquet barriers are removed when it returns or
@@ -199,7 +213,9 @@ def _terahac_impl(
         if counts["heavy"] == 0:
             rounds -= 1
             break
-        clusters = size_constrained_affinity(e.select("u", "v", "w"), max_subgraph_edges)
+        clusters = size_constrained_affinity(
+            e.select("u", "v", "w"), max_subgraph_edges, counts["edges"]
+        )
         cu = clusters.select(F.col("id").alias("u"), F.col("cluster").alias("cu"))
         cv = clusters.select(F.col("id").alias("v"), F.col("cluster").alias("cv"))
         sub = (

@@ -68,30 +68,33 @@ def _scan(
 
 
 def _affinity_partition(
-    adj: Adj, best: dict[int, int], max_subgraph_edges: int
+    best: dict[int, int], deg: dict[int, int], max_subgraph_edges: int
 ) -> dict[int, int]:
-    """Size-constrained affinity clustering on the local graph.
+    """Size-constrained affinity clustering of the vertices ``deg`` holds.
 
-    Returns vertex -> cluster id by the rule of
-    :func:`repro.graphs.affinity.size_constrained_affinity`: per-vertex
-    best edge by max (w, neighbour-id) (``best``, from :func:`_scan`),
-    components by min id, and a cluster whose shipped load (sum of member
-    degrees) exceeds the cap split by a key that keeps every mutual-best
-    pair in one part. A part's id is ``-(its min member) - 1``, so parts
-    of different clusters never share an id.
+    ``best`` maps each vertex to its neighbour of max (w, neighbour-id)
+    and ``deg`` each vertex to its degree; nothing else of the graph is
+    read. Returns vertex -> cluster id by the rule of
+    :func:`repro.graphs.affinity.size_constrained_affinity`: components
+    of the marked edges labelled by min id, and a cluster whose shipped
+    load (sum of member degrees) exceeds the cap split by a key that
+    keeps every mutual-best pair in one part. A part's id is
+    ``-(its min member) - 1``, so parts of different clusters never
+    share an id. The local engine passes its :func:`_scan`'s ``best``;
+    the Spark engine labels a round here once its edges fit the cap.
     """
     dsu = DSU()
     for u, b in best.items():
         dsu.union(u, b)
-    comp = {u: dsu.find(u) for u in adj}
+    comp: dict[int, int] = {}
     load: dict[int, int] = {}
-    for u in adj:
-        load[comp[u]] = load.get(comp[u], 0) + len(adj[u])
+    for u, d in deg.items():
+        c = comp[u] = dsu.find(u)
+        load[c] = load.get(c, 0) + d
     out: dict[int, int] = {}
     parts: dict[int, tuple[int, int]] = {}  # split member -> (tree, part index)
     low: dict[tuple[int, int], int] = {}  # part -> min member
-    for u in adj:
-        c = comp[u]
+    for u, c in comp.items():
         nparts = max(1, -(-load[c] // max_subgraph_edges))
         if nparts <= 1:
             out[u] = c
@@ -195,7 +198,8 @@ def _rounds(
                 ) <= 1 + eps
             )
 
-        clusters = _affinity_partition(adj, best, max_subgraph_edges)
+        deg = {a: len(nb) for a, nb in adj.items()}
+        clusters = _affinity_partition(best, deg, max_subgraph_edges)
         round_merges: list[Merge] = []
         relabel: dict[int, int] = {}
         for group in _groups(adj, clusters).values():

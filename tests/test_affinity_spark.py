@@ -6,12 +6,17 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graphs.affinity import affinity_clusters, best_edges, size_constrained_affinity
+from repro.graphs.affinity import (
+    _driver_clusters,
+    affinity_clusters,
+    best_edges,
+    size_constrained_affinity,
+)
 from repro.graphs.edges import singletons
 from repro.graphs.io import run_dir
 from repro.oracle import assert_equivalent
 from repro.synth_data import edges_to_spark, random_weighted_graph
-from tests.util import brute_components
+from tests.util import brute_components, labelling_paths
 
 
 def _weighted(spark, edges):
@@ -154,10 +159,34 @@ _TIES = [(u, v, 1.0) for u, v, _ in random_weighted_graph(n=60, avg_deg=4, seed=
 @pytest.mark.parametrize("edges", [_PATH, _TIES], ids=["deep-chain", "all-ties"])
 @pytest.mark.parametrize("cap", [None, 1 << 30, 12])
 def test_affinity_labels_equal_brute_force(spark, edges, cap):
+    """Both labelling paths give the brute-force labels: pointer jumping
+    on Spark, and the driver's labelling of the collected best-edge
+    table, which ``size_constrained_affinity`` takes once the edges fit
+    the cap. With no cap the driver is given the whole graph's load, so
+    no cluster splits."""
     ew = _weighted(spark, edges)
+    want = _reference(edges, cap)
     with run_dir(spark):
         if cap is None:
-            got = {r.id: r.cluster for r in affinity_clusters(ew).collect()}
+            jumped = affinity_clusters(ew)
         else:
-            got = {r.id: r.cluster for r in size_constrained_affinity(ew, cap).collect()}
-    assert got == _reference(edges, cap)
+            jumped = size_constrained_affinity(ew, cap)
+        driver = _driver_clusters(ew, cap or 2 * len(edges))
+        for got in (jumped, driver):
+            assert {r.id: r.cluster for r in got.collect()} == want
+
+
+def test_affinity_labels_on_the_driver_once_edges_fit(spark, monkeypatch):
+    """The dispatch: ``edges <= max_load`` labels on the driver; a larger
+    or an unknown count jumps pointers on Spark. Both give the same
+    labels."""
+    ew = _weighted(spark, _TIES)
+    paths = labelling_paths(monkeypatch)
+    m = len(_TIES)
+    with run_dir(spark):
+        labels = [
+            {r.id: r.cluster for r in size_constrained_affinity(ew, cap, n).collect()}
+            for cap, n in ((m, m), (m - 1, m), (m, None))
+        ]
+    assert paths == ["driver", "jump", "jump"]
+    assert labels == [_reference(_TIES, m), _reference(_TIES, m - 1), _reference(_TIES, m)]

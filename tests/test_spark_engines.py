@@ -26,7 +26,7 @@ from repro.core.terahac_local import terahac_local
 from repro.eval.metrics import ari
 from repro.graphs import components, io
 from repro.synth_data import edges_to_spark, random_weighted_graph, web_query_lite
-from tests.util import validate_good_merges
+from tests.util import labelling_paths, validate_good_merges
 
 N = 120
 
@@ -168,6 +168,27 @@ def test_terahac_spark_equals_local_across_hand_off(
     _assert_same_merges(sp, lo)
 
 
+def test_terahac_spark_equals_local_across_labelling_switch(spark, workload, monkeypatch):
+    """Spark == local when a run's Spark rounds label their forests both
+    ways (cap 200, t=0.2: edges 300, 184, 28). Round 1's 300 edges exceed
+    the cap, so pointer jumping labels it on Spark. Round 2's 184 fit the
+    cap, so its forest is labelled on the driver, while 2 * 184 > 200
+    keeps the round itself on Spark. Round 2's barrier (2 * 28 <= 200)
+    then hands round 3 to the driver. Same rounds, ``collect_stats``
+    stats and merge sets (similarities within 1e-9)."""
+    edges, df = workload
+    paths = labelling_paths(monkeypatch)
+    tags = _barrier_tags(monkeypatch)
+    sp = terahac(spark, df, N, eps=0.1, t=0.2, max_subgraph_edges=200, collect_stats=True)
+    lo = terahac_local(edges, N, eps=0.1, t=0.2, max_subgraph_edges=200, collect_stats=True)
+    assert [st.n_edges for st in lo.stats] == [300, 184, 28]
+    assert paths == ["jump", "driver"]
+    assert tags.count("subgraphhac") == 2
+    assert sp.rounds == lo.rounds == 3
+    assert sp.stats == lo.stats
+    _assert_same_merges(sp, lo)
+
+
 def test_terahac_spark_max_rounds_counts_driver_rounds(spark, workload):
     """``max_rounds`` counts Spark and driver rounds together: at t=0.3
     the run needs 3 rounds, round 1 on Spark and rounds 2-3 on the
@@ -214,18 +235,21 @@ def test_terahac_spark_job_budget(spark, workload, monkeypatch):
     """Guards the per-round Spark cost by counting the jobs of one
     ``terahac()`` call (N=120, t=0.3, 3 rounds) through a job group.
     Each budget is the count measured on Spark 4.1 in local mode plus one
-    job of slack. Round 1 runs on Spark (one kernel barrier plus one
-    fused contract-reweight-prune barrier, every count read off the
-    writes) and its barrier, 99 edges, is collected once for rounds 2-3
-    on the driver: 29 jobs warm, 30 as a session's first call (71 when
-    every round ran on Spark; AQE makes each shuffle stage a job of its
+    job of slack. Round 1 runs on Spark: its 300 edges fit the default
+    cap, so its forest is labelled on the driver from one collect of the
+    best-edge table; then one kernel barrier and one fused
+    contract-reweight-prune barrier, every count read off the writes.
+    Its barrier, 99 edges, is collected once for rounds 2-3 on the
+    driver: 17 jobs, also as a session's first call (29 when pointer
+    jumping labelled round 1; AQE makes each shuffle stage a job of its
     own). ``collect_stats`` reads every count, the good edges too, off
-    the writes: 31 jobs. Under cap 40 rounds 1-2 run on Spark: 55 jobs,
-    so one more job a Spark round shows twice. A count action or an
-    extra join breaks the budgets. No ``DataFrame.count`` may run."""
+    the writes: 19 jobs. Under cap 40 rounds 1-2 (300 and 134 edges) jump
+    pointers on Spark: 55 jobs, so one more job a Spark round shows
+    twice. A count action or an extra join breaks the budgets. No
+    ``DataFrame.count`` may run."""
     edges, _ = workload
     df = edges_to_spark(spark, edges)  # uncached: the count cannot depend on test order
-    for kwargs, budget in (({}, 30), ({"collect_stats": True}, 32), ({"max_subgraph_edges": 40}, 56)):
+    for kwargs, budget in (({}, 18), ({"collect_stats": True}, 20), ({"max_subgraph_edges": 40}, 56)):
         res, jobs, counts = _jobs_of(
             spark, monkeypatch, lambda: terahac(spark, df, N, eps=0.1, t=0.3, **kwargs)
         )
@@ -242,9 +266,11 @@ def test_terahac_spark_keeps_one_round_of_barriers(spark, monkeypatch):
     most one barrier of each kind, and the call ends holding only its
     last edge barrier, also when the run finishes on the driver. The
     graph is the N-vertex workload beside a 300-vertex path with rising
-    weights (3 rounds at t=0.3: round 1 on Spark, whose 99-edge barrier
-    hands rounds 2-3 to the driver); the path's affinity tree of depth
-    298 makes pointer jumping write an ``affinity-ptr`` barrier too."""
+    weights, 599 edges (3 rounds at t=0.3: round 1 on Spark, whose
+    99-edge barrier hands rounds 2-3 to the driver). The cap, 598, is one
+    below the edge count, so round 1 labels its forest on Spark, and the
+    path's affinity tree of depth 298 (load 598, not split) makes pointer
+    jumping write an ``affinity-ptr`` barrier too."""
     held, tags = [], []
 
     def listing():
@@ -273,7 +299,10 @@ def test_terahac_spark_keeps_one_round_of_barriers(spark, monkeypatch):
     monkeypatch.setattr(terahac_module, "_terahac_impl", impl)
     path = [(i, i + 1, (i + 1) / 300) for i in range(299)]
     rest = [(u + 300, v + 300, w) for u, v, w in random_weighted_graph(n=N, avg_deg=5, seed=5)]
-    res = terahac(spark, edges_to_spark(spark, path + rest), 300 + N, eps=0.1, t=0.3)
+    res = terahac(
+        spark, edges_to_spark(spark, path + rest), 300 + N, eps=0.1, t=0.3,
+        max_subgraph_edges=598,
+    )
     assert res.rounds > 1 and "affinity-ptr" in tags
     assert all(len(kinds) == len(set(kinds)) for kinds in held), held
     assert held[-1] == ["edges"]

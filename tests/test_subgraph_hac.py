@@ -263,7 +263,7 @@ def test_both_engines_hand_a_capped_group_the_same_input():
     adj, size = build(random_weighted_graph(n=n, avg_deg=5, seed=5), n)
     m = dict.fromkeys(adj, INF)
     best = local._scan(adj, size, 0.0)[0]
-    clusters = local._affinity_partition(adj, best, 40)
+    clusters = local._affinity_partition(best, {a: len(nb) for a, nb in adj.items()}, 40)
     groups = local._groups(adj, clusters)
     assert any(c < 0 for c in groups), "the cap split no cluster"
     rng = np.random.default_rng(0)

@@ -130,12 +130,14 @@ def test_size_constrained_partitions_still_correct(cap):
 def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, eps):
     """The split never separates a mutual-best pair, so every round
     merges with no forced merge, and eps=0 still gives exact HAC. The
-    best-edge map the partition receives is the brute-force one, also
-    after pruning (t > 0) has dropped vertices."""
+    best-edge map and the degrees the partition receives are those of the
+    graph its groups are cut from (brute force), also after pruning
+    (t > 0) has dropped vertices."""
     n = 60
     edges = random_weighted_graph(n=n, avg_deg=4, seed=seed)
-    partition, build = engine._affinity_partition, engine.build
+    partition, groups, build = engine._affinity_partition, engine._groups, engine.build
     sizes = []  # the engine's cluster-size dict, updated in place each round
+    received = []  # the (best, deg) of each partition call
     splits = []
 
     def capturing_build(edges, n_base):
@@ -143,23 +145,28 @@ def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, 
         sizes.append(size)
         return adj, size
 
-    def checked(adj, best_in, max_subgraph_edges):
-        out = partition(adj, best_in, max_subgraph_edges)
-        size = sizes[-1]
-        best = {
-            u: max(nb, key=lambda b: (nb[b] / (size[u] * size[b]), b))
-            for u, nb in adj.items()
-            if nb
-        }
-        assert best_in == best
+    def recording(best, deg, max_subgraph_edges):
+        received.append((best, deg))
+        out = partition(best, deg, max_subgraph_edges)
         for u, b in best.items():
             if best[b] == u:
                 assert out[u] == out[b], f"mutual-best pair ({u}, {b}) split apart"
         splits.append(any(c < 0 for c in out.values()))
         return out
 
+    def checked(adj, clusters):
+        size = sizes[-1]
+        best = {
+            u: max(nb, key=lambda b: (nb[b] / (size[u] * size[b]), b))
+            for u, nb in adj.items()
+            if nb
+        }
+        assert received[-1] == (best, {u: len(nb) for u, nb in adj.items()})
+        return groups(adj, clusters)
+
     monkeypatch.setattr(engine, "build", capturing_build)
-    monkeypatch.setattr(engine, "_affinity_partition", checked)
+    monkeypatch.setattr(engine, "_affinity_partition", recording)
+    monkeypatch.setattr(engine, "_groups", checked)
     res = terahac_local(edges, n, eps=eps, t=0.0, max_subgraph_edges=cap)
     assert any(splits), "the cap never split a cluster"
     assert len(res.stats) == res.rounds and all(st.n_merges > 0 for st in res.stats)
@@ -183,13 +190,13 @@ def test_every_kernel_call_holds_one_marked_tree(monkeypatch, seed):
     tree: dict[int, int] = {}
     trees_per_call, splits = [], []
 
-    def marking(adj, best, max_subgraph_edges):
+    def marking(best, deg, max_subgraph_edges):
         dsu = DSU()
         for u, b in best.items():
             dsu.union(u, b)
         tree.clear()
-        tree.update({u: dsu.find(u) for u in adj})
-        out = partition(adj, best, max_subgraph_edges)
+        tree.update({u: dsu.find(u) for u in deg})
+        out = partition(best, deg, max_subgraph_edges)
         splits.append(any(c < 0 for c in out.values()))
         return out
 

@@ -131,3 +131,23 @@ def labels_from_partition(part: dict[int, int], n: int) -> np.ndarray:
     for v, c in part.items():
         lab[v] = c
     return lab
+
+
+def labelling_paths(monkeypatch) -> list[str]:
+    """How each affinity labelling from now on runs, in order: ``"jump"``
+    for pointer jumping on Spark, ``"driver"`` for the driver's labelling
+    of the collected best-edge table."""
+    from repro.graphs import affinity
+
+    paths: list[str] = []
+
+    def recording(path, fn):
+        def wrapper(*args):
+            paths.append(path)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(affinity, "_roots", recording("jump", affinity._roots))
+    monkeypatch.setattr(affinity, "_driver_clusters", recording("driver", affinity._driver_clusters))
+    return paths
