@@ -19,7 +19,9 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.localgraph import DSU, check_edge, scan
 from repro.graphs.components import connected_components
+from repro.graphs.edges import checked
 from repro.graphs.io import run_dir
 
 
@@ -61,50 +63,38 @@ def dbscan_metric(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 def graph_dbscan_local(
     edges: list[tuple[int, int, float]], n_base: int, eps: float, min_pts: int
 ) -> np.ndarray:
-    """Graph DBSCAN (§6.3) in-process. Returns labels over 0..n_base-1."""
-    adj: dict[int, dict[int, float]] = {v: {} for v in range(n_base)}
+    """Graph DBSCAN (§6.3) in-process. Returns labels over 0..n_base-1.
+    Raises :func:`repro.core.localgraph.check_edge`'s ``ValueError``."""
+    # heavy[u][v]: the max weight of the u-v edges, if it is >= eps
+    heavy: dict[int, dict[int, float]] = {v: {} for v in range(n_base)}
     for u, v, w in edges:
-        if u == v:
-            continue
-        adj[u][v] = max(adj[u].get(v, 0.0), w)
-        adj[v][u] = adj[u][v]
-
-    heavy = {
-        u: {v: w for v, w in nb.items() if w >= eps} for u, nb in adj.items()
-    }
+        check_edge(u, v, w, n_base)
+        if u != v and w >= eps:
+            heavy[u][v] = heavy[v][u] = max(heavy[u].get(v, 0.0), w)
     core = {u for u, nb in heavy.items() if len(nb) >= min_pts}
 
-    # components of core-core edges at weight >= eps
+    # components of core-core edges at weight >= eps, labelled by min id
+    dsu = DSU()
+    for u in core:
+        for v in heavy[u]:
+            if v in core:
+                dsu.union(u, v)
     labels = np.full(n_base, -1, dtype=np.int64)
-    comp: dict[int, int] = {}
-    for s in sorted(core):
-        if s in comp:
-            continue
-        stack, members = [s], []
-        comp[s] = s
-        while stack:
-            x = stack.pop()
-            members.append(x)
-            for y in heavy[x]:
-                if y in core and y not in comp:
-                    comp[y] = s
-                    stack.append(y)
-    next_label = 0
     lab_of: dict[int, int] = {}
     for u in sorted(core):
-        c = comp[u]
-        if c not in lab_of:
-            lab_of[c] = next_label
-            next_label += 1
-        labels[u] = lab_of[c]
-    # non-core: attach to most similar core neighbour at >= eps, else singleton
+        labels[u] = lab_of.setdefault(dsu.find(u), len(lab_of))
+    # non-core: attach to the most similar core neighbour at >= eps (max
+    # (w, id), the scan's best edge), else singleton
+    to_core = {
+        u: {v: w for v, w in nb.items() if v in core}
+        for u, nb in heavy.items() if u not in core
+    }
+    best = scan(to_core, dict.fromkeys(heavy, 1), eps)[0]
+    next_label = len(lab_of)
     for u in range(n_base):
-        if labels[u] >= 0:
-            continue
-        cands = [(w, v) for v, w in heavy[u].items() if v in core]
-        if cands:
-            labels[u] = labels[max(cands)[1]]
-        else:
+        if u in best:
+            labels[u] = labels[best[u]]
+        elif labels[u] < 0:
             labels[u] = next_label
             next_label += 1
     return labels
@@ -117,11 +107,12 @@ def graph_dbscan_spark(
     eps: float,
     min_pts: int,
 ) -> np.ndarray:
-    """Graph DBSCAN (§6.3) on DataFrames. ``edges`` is ``(u, v, w)``."""
+    """Graph DBSCAN (§6.3) on DataFrames. ``edges`` is ``(u, v, w)``; a
+    bad edge fails the first job (:func:`repro.graphs.edges.checked`)."""
     with run_dir(spark):
-        e = edges.filter(F.col("u") != F.col("v")).select(
-            F.least("u", "v").alias("u"), F.greatest("u", "v").alias("v"), "w"
-        ).groupBy("u", "v").agg(F.max("w").alias("w"))
+        e = checked(edges, n_base).filter(F.col("u") != F.col("v")).select(
+            F.least("u", "v").alias("u"), F.greatest("u", "v").alias("v"), "raw"
+        ).groupBy("u", "v").agg(F.max("raw").alias("w"))
         heavy = e.filter(F.col("w") >= eps).localCheckpoint(eager=True)
         sym = heavy.select(F.col("u").alias("src"), F.col("v").alias("dst"), "w").unionByName(
             heavy.select(F.col("v").alias("src"), F.col("u").alias("dst"), "w")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.goodness import merge_id
-from repro.core.localgraph import DSU, build, merge_pair
+from repro.core.localgraph import NO_CAP, affinity_partition, build, merge_pair, scan
 from repro.core.stats import RoundStats
 from repro.core.subgraph_hac import Merge
 
@@ -28,38 +28,21 @@ def parhac(
 ) -> tuple[Dendrogram, list[RoundStats]]:
     """Run the simplified ParHAC; returns dendrogram + per-round stats."""
     adj, size = build(edges, n_base)
-
-    def wfn(a: int, b: int) -> float:
-        return adj[a][b] / (size[a] * size[b])
-
     merges: list[Merge] = []
     stats: list[RoundStats] = []
     for rnd in range(1, max_rounds + 1):
-        w_top = 0.0
-        n_edges = 0
-        for a in adj:
-            for b in adj[a]:
-                if a < b:
-                    w = wfn(a, b)
-                    if w >= t:
-                        n_edges += 1
-                        w_top = max(w_top, w)
+        best, w_max, n_edges, _ = scan(adj, size, t)
         if n_edges == 0:
             break
-        theta = w_top / (1.0 + eps)
+        floor = max(max(w_max.values()) / (1.0 + eps), t)
 
         # Affinity step over the bucket: mark best bucket edge per vertex,
         # contract components of marked edges.
-        dsu = DSU()
-        for a in adj:
-            cands = [
-                (wfn(a, b), b) for b in adj[a] if wfn(a, b) >= max(theta, t)
-            ]
-            if cands:
-                dsu.union(a, max(cands)[1])
+        marked = {a: b for a, b in best.items() if w_max[a] >= floor}
+        deg = {a: len(nb) for a, nb in adj.items()}
         groups: dict[int, list[int]] = {}
-        for a in adj:
-            groups.setdefault(dsu.find(a), []).append(a)
+        for a, c in affinity_partition(marked, deg, NO_CAP).items():
+            groups.setdefault(c, []).append(a)
         n_merged = 0
         for members in groups.values():
             if len(members) < 2:
@@ -74,13 +57,12 @@ def parhac(
                 adjacent = [x for x in remaining if x in adj[cur]]
                 nxt = min(adjacent) if adjacent else min(remaining)
                 remaining.discard(nxt)
-                w_cur = wfn(cur, nxt) if nxt in adj[cur] else 0.0
+                w_cur = adj[cur][nxt] / (size[cur] * size[nxt]) if nxt in adj[cur] else 0.0
                 pid = merge_id(cur, nxt, n_base)
                 merge_pair(adj, size, cur, nxt, pid)
                 merges.append(Merge(pid, cur, nxt, max(w_cur, 1e-300)))
                 cur = pid
                 n_merged += 1
-            del members
         if n_merged == 0:
             break
         stats.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.goodness import merge_id
-from repro.core.localgraph import build, merge_pair
+from repro.core.localgraph import build, merge_pair, scan
 from repro.core.stats import RoundStats
 from repro.core.subgraph_hac import Merge
 
@@ -25,28 +25,20 @@ def rac(
 ) -> tuple[Dendrogram, list[RoundStats]]:
     """Run RAC; returns the dendrogram and per-round stats (for Fig. 2)."""
     adj, size = build(edges, n_base)
-
-    def wfn(a: int, b: int) -> float:
-        return adj[a][b] / (size[a] * size[b])
-
     merges: list[Merge] = []
     stats: list[RoundStats] = []
     for rnd in range(1, max_rounds + 1):
-        best: dict[int, int] = {}
-        for a in adj:
-            cands = [(wfn(a, b), b) for b in adj[a] if wfn(a, b) >= t]
-            if cands:
-                best[a] = max(cands)[1]
+        best, w_max, _, _ = scan(adj, size, t)
         pairs = [
-            (a, b) for a, b in best.items() if a < b and best.get(b) == a
+            (a, b) for a, b in best.items()
+            if a < b and best.get(b) == a and w_max[a] >= t
         ]
         if not pairs:
             break
         for a, b in pairs:
-            w_ab = wfn(a, b)
             pid = merge_id(a, b, n_base)
             merge_pair(adj, size, a, b, pid)
-            merges.append(Merge(pid, a, b, w_ab))
+            merges.append(Merge(pid, a, b, w_max[a]))
         stats.append(
             RoundStats(
                 round=rnd,

@@ -66,12 +66,7 @@ def scc_local(
     size = dict.fromkeys(leaves, 1)
     assign = np.array(leaves, dtype=np.int64)  # original vertex -> cluster
 
-    def wfn(a: int, b: int) -> float:
-        return adj[a][b] / (size[a] * size[b])
-
-    w_upper = max(
-        (wfn(a, b) for a in adj for b in adj[a] if a < b), default=0.0
-    )
+    w_upper = max(localgraph.scan(adj, size, t)[1].values(), default=0.0)
     result = SCCResult()
     if w_upper <= 0:
         for _ in range(rounds):
@@ -81,14 +76,12 @@ def scc_local(
     taus = threshold_schedule(max(w_upper, t), t, rounds)
 
     for tau in taus:
+        best, w_max, _, n_edges = localgraph.scan(adj, size, t)
         result.nodes_per_round.append(len(adj))
-        result.edges_per_round.append(sum(len(nb) for nb in adj.values()) // 2)
-        dsu = localgraph.DSU()
-        for a in adj:
-            cands = [(wfn(a, b), b) for b in adj[a] if wfn(a, b) >= tau]
-            if cands:
-                dsu.union(a, max(cands)[1])
-        relabel = {a: dsu.find(a) for a in adj}
+        result.edges_per_round.append(n_edges)
+        marked = {a: b for a, b in best.items() if w_max[a] >= tau}
+        deg = {a: len(nb) for a, nb in adj.items()}
+        relabel = localgraph.affinity_partition(marked, deg, localgraph.NO_CAP)
         new_size: dict[int, int] = {}
         for a, na in relabel.items():
             new_size[na] = new_size.get(na, 0) + size[a]

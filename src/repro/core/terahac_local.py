@@ -13,10 +13,13 @@ and the round-count studies, where a 1.8k-vertex graph through 100 Spark
 rounds would only measure scheduler latency.
 
 Outside the kernel and the contraction, a round reads the graph once:
-:func:`_scan`, run after ``build`` and after each contraction, yields
-every vertex's best neighbour and ``w_max`` and the heavy-edge and edge
-counts, and pruning, the partition, the loop condition and the round's
-stats all read it (its docstring says why pruning leaves it exact).
+:func:`repro.core.localgraph.scan`, run after ``build`` and after each
+contraction, yields every vertex's best neighbour and ``w_max`` and the
+heavy-edge and edge counts, and pruning, the partition, the loop
+condition and the round's stats all read it (its docstring says why
+pruning leaves it exact). The partition is
+:func:`repro.core.localgraph.affinity_partition`, which the Spark
+engine, SCC and ParHAC call too.
 """
 from __future__ import annotations
 
@@ -24,88 +27,9 @@ from itertools import chain
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.goodness import INF, goodness
-from repro.core.localgraph import DSU, Adj, build, contract
+from repro.core.localgraph import Adj, affinity_partition, build, contract, scan
 from repro.core.stats import RoundStats, TeraHACResult
 from repro.core.subgraph_hac import Merge, subgraph_hac
-
-
-def _scan(
-    adj: dict[int, dict[int, float]], size: dict[int, int], t: float
-) -> tuple[dict[int, int], dict[int, float], int, int]:
-    """One pass over every vertex's row: ``(best, w_max, heavy, edges)``.
-
-    ``best[a]`` is ``a``'s neighbour of max ``(w, id)`` and ``w_max[a]``
-    its weight (0.0 for an empty row, which has no ``best``); ``heavy``
-    counts the edges with ``w >= t`` and ``edges`` all edges. Both
-    orientations of an edge hold the same raw weight bit for bit
-    (:mod:`repro.core.localgraph`'s ``build`` and ``contract``), so each
-    is counted as half of its two directed rows.
-
-    Pruning the vertices with ``w_max < t/(1+eps)`` leaves the scan exact
-    for the survivors. If ``best(b) = a`` and ``a`` is pruned, then
-    ``w_max(b) = w(a, b) <= w_max(a) < t/(1+eps)``, so ``b`` is pruned
-    too: a survivor's best neighbour, and with it its ``w_max``, survives.
-    An edge with ``w >= t`` keeps both endpoints, so ``heavy`` is the
-    same after pruning; ``edges`` loses the pruned rows' edges.
-    """
-    best: dict[int, int] = {}
-    w_max: dict[int, float] = {}
-    heavy = directed = 0
-    for a, nb in adj.items():
-        sa = size[a]
-        top, at = 0.0, -1
-        for b, raw in nb.items():
-            w = raw / (sa * size[b])
-            if w >= t:
-                heavy += 1
-            if w > top or (w == top and b > at):
-                top, at = w, b
-        w_max[a] = top
-        if nb:
-            best[a] = at
-        directed += len(nb)
-    return best, w_max, heavy // 2, directed // 2
-
-
-def _affinity_partition(
-    best: dict[int, int], deg: dict[int, int], max_subgraph_edges: int
-) -> dict[int, int]:
-    """Size-constrained affinity clustering of the vertices ``deg`` holds.
-
-    ``best`` maps each vertex to its neighbour of max (w, neighbour-id)
-    and ``deg`` each vertex to its degree; nothing else of the graph is
-    read. Returns vertex -> cluster id by the rule of
-    :func:`repro.graphs.affinity.size_constrained_affinity`: components
-    of the marked edges labelled by min id, and a cluster whose shipped
-    load (sum of member degrees) exceeds the cap split by a key that
-    keeps every mutual-best pair in one part. A part's id is
-    ``-(its min member) - 1``, so parts of different clusters never
-    share an id. The local engine passes its :func:`_scan`'s ``best``;
-    the Spark engine labels a round here once its edges fit the cap.
-    """
-    dsu = DSU()
-    for u, b in best.items():
-        dsu.union(u, b)
-    comp: dict[int, int] = {}
-    load: dict[int, int] = {}
-    for u, d in deg.items():
-        c = comp[u] = dsu.find(u)
-        load[c] = load.get(c, 0) + d
-    out: dict[int, int] = {}
-    parts: dict[int, tuple[int, int]] = {}  # split member -> (tree, part index)
-    low: dict[tuple[int, int], int] = {}  # part -> min member
-    for u, c in comp.items():
-        nparts = max(1, -(-load[c] // max_subgraph_edges))
-        if nparts <= 1:
-            out[u] = c
-        else:
-            b = best.get(u)
-            key = min(u, b) if best.get(b) == u else u
-            part = parts[u] = (c, key % nparts)
-            low[part] = min(low.get(part, u), u)
-    for u, part in parts.items():
-        out[u] = -low[part] - 1
-    return out
 
 
 def _groups(adj: Adj, clusters: dict[int, int]) -> dict[int, Adj]:
@@ -177,7 +101,7 @@ def _rounds(
     ``graph_counts=collect_stats``: without it a round's ``n_vertices``
     and ``n_edges`` are -1, as in its Spark rounds.
     """
-    best, w_max, heavy, n_edges = _scan(adj, size, t)
+    best, w_max, heavy, n_edges = scan(adj, size, t)
     prune_at = t / (1.0 + eps)
 
     rounds = first_round - 1
@@ -199,7 +123,7 @@ def _rounds(
             )
 
         deg = {a: len(nb) for a, nb in adj.items()}
-        clusters = _affinity_partition(best, deg, max_subgraph_edges)
+        clusters = affinity_partition(best, deg, max_subgraph_edges)
         round_merges: list[Merge] = []
         relabel: dict[int, int] = {}
         for group in _groups(adj, clusters).values():
@@ -225,9 +149,9 @@ def _rounds(
 
         # --- contraction (the kernel added the new ids' size and M) ---
         adj = contract(adj, relabel)
-        best, w_max, heavy, n_edges = _scan(adj, size, t)
+        best, w_max, heavy, n_edges = scan(adj, size, t)
 
-        # --- vertex pruning + isolated removal (exact: see _scan) ---
+        # --- vertex pruning + isolated removal (exact: see scan) ---
         drop = [a for a in adj if not adj[a] or w_max[a] < prune_at]
         for a in drop:
             row = adj.pop(a)

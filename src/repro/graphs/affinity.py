@@ -32,8 +32,8 @@ Once a round's edges fit the cap, the forest is labelled on the driver
 instead. TeraHAC passes :func:`size_constrained_affinity` the edge count
 its barrier's write observed (no job); when it is at most ``max_load``,
 the ``(id, best, deg)`` table is collected once through Arrow, labelled
-by :func:`repro.core.terahac_local._affinity_partition`, the local
-engine's own function, and handed to the shipping joins as a local
+by :func:`repro.core.localgraph.affinity_partition`, the in-process
+rule of the local engines, and handed to the shipping joins as a local
 DataFrame. That table has at most ``2 * max_load`` rows of three longs,
 less than one kernel call's input of about ``max_load`` rows of ten
 columns, so the cap stays the one bound on what a machine holds. On the
@@ -48,7 +48,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, Observation, Window
 from pyspark.sql import functions as F
 
-from repro.core.terahac_local import _affinity_partition
+from repro.core.localgraph import affinity_partition
 from repro.graphs.io import materialize, release
 
 
@@ -128,13 +128,6 @@ def _labelled(edges_w: DataFrame) -> DataFrame:
     )
 
 
-def best_edges(edges_w: DataFrame) -> DataFrame:
-    """Per-vertex best incident edge of a canonical weighted edge table
-    (columns ``u, v, w``). Returns ``(src, dst)`` — the marked edge of each
-    vertex, max weight with ties broken toward the larger neighbour id."""
-    return _marked(edges_w).select(F.col("id").alias("src"), F.col("best").alias("dst"))
-
-
 def affinity_clusters(edges_w: DataFrame) -> DataFrame:
     """Plain affinity clustering. Returns ``(id, cluster)`` for every
     endpoint of ``edges_w``, where cluster is the min vertex id of the
@@ -146,11 +139,11 @@ def affinity_clusters(edges_w: DataFrame) -> DataFrame:
 def _driver_clusters(edges_w: DataFrame, max_load: int) -> DataFrame:
     """:func:`size_constrained_affinity`'s ``(id, cluster)``, labelled on
     the driver: the ``(id, best, deg)`` table is collected once through
-    Arrow, labelled by the local engine's rule and handed back as a
+    Arrow, labelled by the local engines' rule and handed back as a
     local DataFrame."""
     cols = _marked(edges_w).toArrow().to_pydict()
     deg = dict(zip(cols["id"], cols["deg"]))
-    labels = _affinity_partition(dict(zip(cols["id"], cols["best"])), deg, max_load)
+    labels = affinity_partition(dict(zip(cols["id"], cols["best"])), deg, max_load)
     # From Arrow, not from a list of rows: the joins it feeds ran
     # 0.2-0.4 s faster (120- and 20k-vertex graphs, local[4]).
     return edges_w.sparkSession.createDataFrame(pa.table({

@@ -8,8 +8,8 @@ from pyspark.sql import functions as F
 
 from repro.graphs.affinity import (
     _driver_clusters,
+    _marked,
     affinity_clusters,
-    best_edges,
     size_constrained_affinity,
 )
 from repro.graphs.edges import singletons
@@ -31,9 +31,10 @@ def graph(spark):
 
 
 def test_best_edges_oracle(spark, graph):
+    """Each vertex's marked edge: max weight, ties to the larger id."""
     _, ew = graph
     assert_equivalent(
-        best_edges(ew),
+        _marked(ew).select(F.col("id").alias("src"), F.col("best").alias("dst")),
         """
         WITH sym AS (
           SELECT u AS src, v AS dst, w FROM ew

@@ -332,19 +332,27 @@ def test_terahac_spark_size_constrained(spark, workload):
         [(0, 1, 1.0), (1, 2, 0.0)],
         [(0, 1, 1.0), (1, 3, 0.5)],
         [(0, 1, 1.0), (1, 9, 0.5), (2, 3, -0.25)],
+        [(0, 1, 1.0), (1, 2, float("nan"))],
     ],
 )
 def test_terahac_spark_rejects_bad_edges(spark, edges):
-    """Both Spark engines reject the edges that the local engines reject,
-    with an error that names an offending edge."""
+    """Every Spark engine rejects the edges that the local engines
+    reject, with an error that names an offending edge; the local
+    engines raise ``localgraph.check_edge``'s ``ValueError``."""
     df = edges_to_spark(spark, edges)
-    named = r"edge \((1, [239], 0\.[05]|2, 3, -0\.25)\)"
+    # The NaN weight reaches Spark as null (pandas to Arrow).
+    named = r"edge \((1, [239], 0\.[05]|1, 2, (NaN|null)|2, 3, -0\.25)\)"
+    local = r"^edge \((1, [239], (0\.[05]|nan))\): (vertex id outside|weight is not)"
     with pytest.raises(SparkRuntimeException, match=named):
         terahac(spark, df, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=local):
         scc_local(edges, 3, rounds=2, t=0.1)
     with pytest.raises(SparkRuntimeException, match=named):
         scc_spark(spark, df, 3, rounds=2, t=0.1)
+    with pytest.raises(ValueError, match=local):
+        graph_dbscan_local(edges, 3, eps=0.5, min_pts=1)
+    with pytest.raises(SparkRuntimeException, match=named):
+        graph_dbscan_spark(spark, df, 3, eps=0.5, min_pts=1)
 
 
 def test_spark_engines_leave_no_checkpoint_dirs(spark):

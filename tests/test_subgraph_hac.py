@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import terahac_local as local
 from repro.core.goodness import INF, encode_leaf, goodness
-from repro.core.localgraph import build
+from repro.core.localgraph import affinity_partition, build, scan
 from repro.core.subgraph_hac import subgraph_hac
 from repro.core.terahac import _graph_of
 from repro.synth_data import random_weighted_graph
@@ -262,8 +262,8 @@ def test_both_engines_hand_a_capped_group_the_same_input():
     n = 120
     adj, size = build(random_weighted_graph(n=n, avg_deg=5, seed=5), n)
     m = dict.fromkeys(adj, INF)
-    best = local._scan(adj, size, 0.0)[0]
-    clusters = local._affinity_partition(best, {a: len(nb) for a, nb in adj.items()}, 40)
+    best = scan(adj, size, 0.0)[0]
+    clusters = affinity_partition(best, {a: len(nb) for a, nb in adj.items()}, 40)
     groups = local._groups(adj, clusters)
     assert any(c < 0 for c in groups), "the cap split no cluster"
     rng = np.random.default_rng(0)

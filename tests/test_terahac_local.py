@@ -135,7 +135,7 @@ def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, 
     (t > 0) has dropped vertices."""
     n = 60
     edges = random_weighted_graph(n=n, avg_deg=4, seed=seed)
-    partition, groups, build = engine._affinity_partition, engine._groups, engine.build
+    partition, groups, build = engine.affinity_partition, engine._groups, engine.build
     sizes = []  # the engine's cluster-size dict, updated in place each round
     received = []  # the (best, deg) of each partition call
     splits = []
@@ -165,7 +165,7 @@ def test_split_keeps_mutual_best_pairs_and_never_stalls(monkeypatch, seed, cap, 
         return groups(adj, clusters)
 
     monkeypatch.setattr(engine, "build", capturing_build)
-    monkeypatch.setattr(engine, "_affinity_partition", recording)
+    monkeypatch.setattr(engine, "affinity_partition", recording)
     monkeypatch.setattr(engine, "_groups", checked)
     res = terahac_local(edges, n, eps=eps, t=0.0, max_subgraph_edges=cap)
     assert any(splits), "the cap never split a cluster"
@@ -186,7 +186,7 @@ def test_every_kernel_call_holds_one_marked_tree(monkeypatch, seed):
     id and part index would merge."""
     n = 120
     edges = random_weighted_graph(n=n, avg_deg=5, seed=seed)
-    partition, kernel = engine._affinity_partition, engine.subgraph_hac
+    partition, kernel = engine.affinity_partition, engine.subgraph_hac
     tree: dict[int, int] = {}
     trees_per_call, splits = [], []
 
@@ -204,7 +204,7 @@ def test_every_kernel_call_holds_one_marked_tree(monkeypatch, seed):
         trees_per_call.append({tree[x] for x in adj})
         return kernel(adj, size, m, eps, n_base)
 
-    monkeypatch.setattr(engine, "_affinity_partition", marking)
+    monkeypatch.setattr(engine, "affinity_partition", marking)
     monkeypatch.setattr(engine, "subgraph_hac", checked)
     terahac_local(edges, n, eps=0.1, t=0.0, max_subgraph_edges=10)
     assert any(splits)
