@@ -3,12 +3,12 @@ against SCC-5 and SCC-25 on the rMAT family (the paper's parameters
 a=.6, b=c=.15, d=.1, degree-log weights), t=0.01.
 
 The paper's claim: TeraHAC lands between SCC-5 and SCC-25 and far below
-SCC-100. SCC runs in timing mode (``record_levels=False``: only its
-final level is collected). Before the timed calls each engine runs once,
-untimed, on the first requested scale's graph (SCC with its fewest
-rounds): after a warm-up on a one-edge graph, the first rMAT graph timed
-still paid a first-use cost of several seconds on both engines. About
-1.5 s of it remains on SCC-5 (``results/fig9_scaling.txt``).
+SCC-100. Each timed SCC call builds all its levels, on the driver.
+Before the timed calls each engine runs once, untimed, on the first
+requested scale's graph (SCC with its fewest rounds): after a warm-up
+on a one-edge graph, the first rMAT graph timed still paid a first-use
+cost of several seconds on both engines. About 1 s of it remains on
+TeraHAC and 3 s on SCC (``results/fig9_scaling.txt``).
 """
 from __future__ import annotations
 
@@ -31,14 +31,14 @@ def scaling_rows(spark, rmat_scales=(9, 11), scc_rounds=(5, 25)) -> list[dict]:
         df.count()
         if s == rmat_scales[0]:
             terahac(spark, df, n, eps=0.1, t=0.01)
-            scc_spark(spark, df, n, rounds=min(scc_rounds), t=0.01, record_levels=False)
+            scc_spark(spark, df, n, rounds=min(scc_rounds), t=0.01)
         t0 = time.time()
         th = terahac(spark, df, n, eps=0.1, t=0.01)
         row = {"scale": s, "n": n, "m": len(pairs), "terahac_s": time.time() - t0,
                "terahac_rounds": th.rounds}
         for r in scc_rounds:
             t0 = time.time()
-            scc_spark(spark, df, n, rounds=r, t=0.01, record_levels=False)
+            scc_spark(spark, df, n, rounds=r, t=0.01)
             row[f"scc{r}_s"] = time.time() - t0
         df.unpersist()
         rows.append(row)

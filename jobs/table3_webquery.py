@@ -50,7 +50,7 @@ def run_webquery(
 
     for label, r in (("scc_high", scc_high), ("scc_low", scc_low)):
         t0 = time.time()
-        sc = scc_spark(spark, df, n, rounds=r, t=t, record_levels=True)
+        sc = scc_spark(spark, df, n, rounds=r, t=t)
         out[f"{label}_s"] = time.time() - t0
         out[f"{label}_rounds"] = r
         out[f"{label}_pr"] = [

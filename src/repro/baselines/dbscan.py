@@ -130,12 +130,12 @@ def graph_dbscan_spark(
             .select("src", "dst")
         )
         comp = connected_components(core_edges, core)
-        # non-core: best core neighbour at >= eps
+        # non-core: the core neighbour of max (w, id) at >= eps, as local
         noncore_best = (
             sym.join(core.withColumnRenamed("id", "src"), "src", "left_anti")
             .join(comp.withColumnRenamed("id", "dst"), "dst")
             .groupBy(F.col("src").alias("id"))
-            .agg(F.max(F.struct("w", "component")).alias("b"))
+            .agg(F.max(F.struct("w", "dst", "component")).alias("b"))
             .select("id", F.col("b.component").alias("component"))
         )
         assigned = comp.unionByName(noncore_best).collect()

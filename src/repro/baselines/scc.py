@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -102,25 +103,26 @@ def scc_spark(
     n_base: int,
     rounds: int,
     t: float,
-    record_levels: bool = True,
 ) -> SCCResult:
     """Run SCC on Spark DataFrames. ``edges`` is ``(u, v, w)``.
 
-    Each round keeps TeraHAC's weighted edge barrier (round 0:
-    :func:`repro.graphs.edges.singletons`; then
-    :func:`repro.graphs.edges.contract_reweight`) and the assignment
-    barrier ``(orig, cur, prev)`` of original vertices to clusters. A
-    cluster's id is its min original vertex id, so ``orig == cur`` counts
-    the clusters; that count, the edge count and ``w_upper`` are
-    observed on the writes, so per-round stats (Fig. 14 analogue) cost
-    no job. When ``record_levels`` is False only the final level is
-    collected (pure-timing mode). The run's parquet barriers are removed
-    when it returns or raises. An id outside ``0..n_base-1`` or a weight
-    that is not positive and finite fails the first Spark job with an
-    error that names the edge (``scc_local`` raises ``ValueError``).
+    The only Spark state carried between rounds is TeraHAC's weighted
+    edge barrier (round 0: :func:`repro.graphs.edges.singletons`; then
+    :func:`repro.graphs.edges.contract_reweight`). Each round collects
+    its affinity labels once through Arrow; the driver holds the
+    assignment of original vertices to clusters, one ``n_base``-long
+    int64 array per level (the levels returned), and builds the next
+    round's mapping from it. A cluster's id is its min original vertex
+    id, so the clusters are the vertices ``v`` with ``assign[v] == v``.
+    The edge count and ``w_upper`` are observed on the barrier writes,
+    so per-round stats (Fig. 14 analogue) cost no job. The run's parquet
+    barriers are removed when it returns or raises. An id outside
+    ``0..n_base-1`` or a weight that is not positive and finite fails the
+    first Spark job with an error that names the edge (``scc_local``
+    raises ``ValueError``).
     """
     with engine_run(spark):
-        return _scc_spark_impl(edges, n_base, rounds, t, record_levels)
+        return _scc_spark_impl(edges, n_base, rounds, t)
 
 
 def _barrier(df: DataFrame, tag: str, **aggs: Column) -> tuple[DataFrame, dict]:
@@ -129,9 +131,7 @@ def _barrier(df: DataFrame, tag: str, **aggs: Column) -> tuple[DataFrame, dict]:
     return materialize(df.observe(obs, *(c.alias(k) for k, c in aggs.items())), tag), obs.get
 
 
-def _scc_spark_impl(
-    edges: DataFrame, n_base: int, rounds: int, t: float, record_levels: bool
-) -> SCCResult:
+def _scc_spark_impl(edges: DataFrame, n_base: int, rounds: int, t: float) -> SCCResult:
     e, counts = _barrier(
         singletons(checked(edges, n_base)),
         "scc-edges",
@@ -140,49 +140,34 @@ def _scc_spark_impl(
     )
     w_upper = counts["w_upper"]
     result = SCCResult()
+    ids = np.arange(n_base, dtype=np.int64)
     if w_upper is None or w_upper <= 0:
-        lab = np.arange(n_base, dtype=np.int64)
         for _ in range(rounds):
-            result.levels.append(lab.copy())
+            result.levels.append(ids.copy())
             result.n_clusters.append(n_base)
         return result
     taus = threshold_schedule(max(w_upper, t), t, rounds)
 
-    # original vertex -> current cluster id; a leaf plan, not a barrier
-    assign = edges.sparkSession.range(n_base).select(
-        F.col("id").alias("orig"), F.col("id").alias("cur")
-    )
-    clusters = n_base
+    assign = ids  # original vertex -> current cluster id
     for i, tau in enumerate(taus):
-        result.nodes_per_round.append(clusters)
+        olds = np.flatnonzero(assign == ids)
+        result.nodes_per_round.append(len(olds))
         result.edges_per_round.append(counts["edges"])
-        labels = affinity_clusters(e.filter(F.col("w") >= tau))
-        prev = assign
-        assign, seen = _barrier(
-            assign.join(labels, assign.cur == labels.id, "left").select(
-                "orig",
-                F.coalesce("cluster", "cur").alias("cur"),
-                F.col("cur").alias("prev"),
-            ),
-            "scc-assign",
-            clusters=F.count(F.when(F.col("orig") == F.col("cur"), 1)),
-        )
-        clusters = seen["clusters"]
+        labels = affinity_clusters(e.filter(F.col("w") >= tau)).toArrow()
+        relabel = ids.copy()
+        relabel[labels["id"].to_numpy()] = labels["cluster"].to_numpy()
+        assign = relabel[assign]
+        result.levels.append(assign)
+        result.n_clusters.append(int(np.count_nonzero(assign == ids)))
         if i < len(taus) - 1:
-            # Each new cluster's size is its number of assignment rows.
-            mapping = assign.groupBy(F.col("cur").alias("new_id")).agg(
-                F.count("*").alias("size"), F.collect_set("prev").alias("olds")
-            ).select(
-                F.explode("olds").alias("old_id"), "new_id", "size",
-                F.lit(float("inf")).alias("m"),
-            )
+            news = relabel[olds]
+            mapping = e.sparkSession.createDataFrame(pa.table({
+                "old_id": olds,
+                "new_id": news,
+                "size": np.bincount(assign)[news],
+                "m": np.full(len(olds), np.inf),
+            }))
             prev_e = e
             e, counts = _barrier(contract_reweight(e, mapping), "scc-edges", edges=F.count("*"))
-            release(prev_e, prev)
-        if record_levels or i == len(taus) - 1:
-            lab = np.zeros(n_base, dtype=np.int64)
-            for r in assign.select("orig", "cur").collect():
-                lab[r.orig] = r.cur
-            result.levels.append(lab)
-            result.n_clusters.append(clusters)
+            release(prev_e)
     return result

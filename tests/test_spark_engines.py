@@ -378,25 +378,30 @@ def test_spark_engines_leave_no_checkpoint_dirs(spark):
 
 
 def test_scc_spark_equals_local(spark, workload):
-    """Same levels and the same per-round counts, on the N-vertex
-    workload and on a path beside vertices 4..7 that have no edge (each
-    of them is a cluster of every level). In timing mode
-    (``record_levels=False``) the one level kept is the last."""
+    """The same levels, exactly, and the same per-round counts, on the
+    N-vertex workload and on a path beside vertices 4..7 that have no
+    edge (each of them is a cluster of every level)."""
     path = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)]
     for edges, n, rounds, t in ((workload[0], N, 5, 0.05), (path, 8, 3, 0.1)):
         rl = scc_local(edges, n, rounds=rounds, t=t)
-        df = edges_to_spark(spark, edges)
-        rs = scc_spark(spark, df, n, rounds=rounds, t=t)
+        rs = scc_spark(spark, edges_to_spark(spark, edges), n, rounds=rounds, t=t)
         assert len(rs.levels) == rounds
         for a, b in zip(rl.levels, rs.levels):
-            assert ari(a, b) == pytest.approx(1.0)
+            assert np.array_equal(a, b)
         assert rs.n_clusters == rl.n_clusters
         assert rs.nodes_per_round == rl.nodes_per_round
         assert rs.edges_per_round == rl.edges_per_round
-        last = scc_spark(spark, df, n, rounds=rounds, t=t, record_levels=False)
-        assert len(last.levels) == 1
-        assert ari(last.levels[0], rl.levels[-1]) == pytest.approx(1.0)
-        assert last.n_clusters[-1] == rl.n_clusters[-1]
+
+
+def test_scc_spark_round_barriers(spark, workload, monkeypatch):
+    """Guards SCC's per-round Spark state: the weighted edge barrier is
+    the only barrier, one a round (round 0's, then one contracted table
+    before each later round), and no connected-components pass; the
+    levels are built on the driver."""
+    _, df = workload
+    tags = _barrier_tags(monkeypatch)
+    scc_spark(spark, df, N, rounds=5, t=0.05)
+    assert tags == ["scc-edges"] * 5
 
 
 def test_scc_spark_stats(spark, workload):
@@ -408,11 +413,13 @@ def test_scc_spark_stats(spark, workload):
 
 def test_scc_spark_job_budget(spark, workload, monkeypatch):
     """Guards the per-round Spark cost of SCC, which runs on TeraHAC's
-    round shape: one weighted edge barrier and one assignment barrier a
-    round, every count observed on those writes. The budget is the count
-    of one ``scc_spark()`` call (N=120, 5 rounds, every level recorded)
-    measured on Spark 4.1 in local mode, 101 jobs warm and as a
-    session's first call, plus one job of slack (111 when each barrier's
+    round shape: one weighted edge barrier a round, its counts observed
+    on the write, and one Arrow collect of the round's affinity labels,
+    from which the driver builds the level and the next round's mapping.
+    The budget is the count of one ``scc_spark()`` call (N=120, 5
+    rounds) measured on Spark 4.1 in local mode, 82 jobs warm and as a
+    session's first call, plus one job of slack (101 with an assignment
+    barrier and a collect of every level, 111 when each barrier's
     read-back inferred its schema, 198 with a vertex barrier and count
     actions). No ``DataFrame.count`` may run."""
     edges, _ = workload
@@ -422,16 +429,30 @@ def test_scc_spark_job_budget(spark, workload, monkeypatch):
     )
     assert len(res.levels) == 5
     assert counts == []
-    assert jobs <= 102, jobs
+    assert jobs <= 83, jobs
 
 
-@pytest.mark.parametrize("eps,min_pts", [(0.5, 3), (0.8, 2)])
-def test_graph_dbscan_spark_equals_local(spark, workload, eps, min_pts):
-    edges, df = workload
-    la = graph_dbscan_local(edges, N, eps=eps, min_pts=min_pts)
-    lb = graph_dbscan_spark(spark, df, N, eps=eps, min_pts=min_pts)
-    assert lb.shape == (N,)
+# Two 4-cliques {0, 1, 2, 9} and {3, 4, 5, 6} at 0.9, and border vertex 8
+# tied at 0.8 between core 9 and core 3: it joins the core of max (w, id).
+_TIED_BORDER = (
+    [(a, b, 0.9) for q in ((0, 1, 2, 9), (3, 4, 5, 6)) for a, b in itertools.combinations(q, 2)]
+    + [(8, 9, 0.8), (8, 3, 0.8)]
+)
+
+
+@pytest.mark.parametrize(
+    "graph,eps,min_pts",
+    [("workload", 0.5, 3), ("workload", 0.8, 2), ("tied-border", 0.5, 3)],
+    ids=["0.5-3", "0.8-2", "tied-border"],
+)
+def test_graph_dbscan_spark_equals_local(spark, workload, graph, eps, min_pts):
+    edges, n = (workload[0], N) if graph == "workload" else (_TIED_BORDER, 10)
+    la = graph_dbscan_local(edges, n, eps=eps, min_pts=min_pts)
+    lb = graph_dbscan_spark(spark, edges_to_spark(spark, edges), n, eps=eps, min_pts=min_pts)
+    assert lb.shape == (n,)
     assert ari(la, lb) == pytest.approx(1.0)
+    if graph == "tied-border":
+        assert la[8] == la[9] != la[3]
 
 
 def test_terahac_spark_webquery_quality(spark):
